@@ -1,14 +1,10 @@
 //! Fig. 7: speedup of selective coherence deactivation on PBBS-archetype
 //! workloads, dual-socket 24-core machine, plus the interconnect-energy
 //! companion claim and the scale trend.
-//!
-//! `--shards <n>` runs the sweeps on `n` event-queue shards. The output is
-//! bit-identical at every shard count — the CI determinism gate
-//! byte-compares `--shards 1` against `--shards 4`.
 
 use interweave_bench::harness::Cli;
 use interweave_bench::{f, print_table, s};
-use interweave_coherence::experiment::{fig7_sharded, mean_energy_reduction, mean_speedup};
+use interweave_coherence::experiment::{fig7, mean_energy_reduction, mean_speedup};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -19,8 +15,9 @@ struct JsonRow {
 }
 
 fn main() {
-    let shards = Cli::parse().shards;
-    let rows_data = fig7_sharded(24, 11, shards);
+    // Parsed only to validate the shared flags; `--json` is written below.
+    Cli::parse();
+    let rows_data = fig7(24, 11);
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for r in &rows_data {
@@ -61,7 +58,7 @@ fn main() {
         let r = if cores == 24 {
             rows_data.clone()
         } else {
-            fig7_sharded(cores, 11, shards)
+            fig7(cores, 11)
         };
         rows.push(vec![
             s(cores),

@@ -114,18 +114,17 @@ fn main() {
         },
     );
 
-    section_sharded(
+    section(
         &mut entries,
         "Fig 7",
         "selective coherence ≈1.46x, −53% NoC energy",
         StackConfig::interwoven(),
         xeon.clone(),
-        shards,
         || {
             use interweave_coherence::experiment::{
-                fig7_reduced_sharded, mean_energy_reduction, mean_speedup,
+                fig7_reduced, mean_energy_reduction, mean_speedup,
             };
-            let r = fig7_reduced_sharded(24, 11, 4, shards);
+            let r = fig7_reduced(24, 11, 4);
             format!(
                 "{:.2}x, −{:.0}%",
                 mean_speedup(&r),

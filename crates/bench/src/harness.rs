@@ -25,13 +25,12 @@ use serde::Serialize;
 ///
 /// `--json <path>` additionally writes the machine-readable results
 /// envelope; `--trace-out <path>` asks binaries that collect telemetry
-/// spans to export a Chrome/Perfetto trace; `--shards <n>` selects the
-/// simulation-kernel shard count for binaries whose hot loop runs on the
-/// sharded kernel (the result is bit-identical at every count — the CI
-/// determinism gate relies on exactly that). Serving binaries additionally
-/// honor `--offered-load <x>` (load as a multiple of the calibrated
-/// saturation point), `--duration-ms <ms>`, and `--arrival <name>`
-/// (poisson | bursty | diurnal). `--metrics-out <path>` asks serving
+/// spans to export a Chrome/Perfetto trace. Serving binaries additionally
+/// honor `--shards <n>` (the number of host threads the serve plane's
+/// worker groups run on; the result is bit-identical at every count — the
+/// CI determinism gate relies on exactly that), `--offered-load <x>` (load
+/// as a multiple of the calibrated saturation point), `--duration-ms <ms>`,
+/// and `--arrival <name>` (poisson | bursty | diurnal). `--metrics-out <path>` asks serving
 /// binaries to run with bounded streaming sinks and export the windowed
 /// time series as JSON; `--window-cycles <n>` overrides the roll-up
 /// window width. `--os <name>` (nk | nautilus | aster | linux) restricts
@@ -43,7 +42,8 @@ pub struct Cli {
     pub json: Option<String>,
     /// Path for the Perfetto trace export, when requested.
     pub trace_out: Option<String>,
-    /// Simulation-kernel shard count (`--shards <n>`, default 1).
+    /// Host threads for the serve plane's worker groups (`--shards <n>`,
+    /// default 1).
     pub shards: usize,
     /// Offered load override for serving binaries, as a multiple of the
     /// calibrated saturation capacity (`--offered-load <x>`, x > 0).
@@ -259,7 +259,8 @@ impl Harness {
         self.cli.trace_out.as_deref()
     }
 
-    /// The simulation-kernel shard count (`--shards`, default 1).
+    /// Host threads for the serve plane's worker groups (`--shards`,
+    /// default 1).
     pub fn shards(&self) -> usize {
         self.cli.shards
     }
@@ -420,8 +421,9 @@ pub struct ExperimentSummary {
     pub measured: String,
     /// Wall-clock time to regenerate this entry, in milliseconds.
     pub wall_ms: f64,
-    /// Simulation-kernel shard count the section ran with (1 = the merged
-    /// sequential kernel; results are bit-identical at every count).
+    /// Host threads the section's serve-plane worker groups ran on (1 for
+    /// every section but serving; results are bit-identical at every
+    /// count).
     pub shards: usize,
 }
 
@@ -493,8 +495,8 @@ pub fn section(
     section_sharded(out, experiment, claim, stack, machine, 1, run);
 }
 
-/// [`section`], for a section whose hot loop ran on the sharded simulation
-/// kernel: records the true shard count in the scoreboard record.
+/// [`section`], for a section whose serve-plane worker groups ran on
+/// `shards` host threads: records that count in the scoreboard record.
 pub fn section_sharded(
     out: &mut Vec<ExperimentSummary>,
     experiment: &str,

@@ -130,11 +130,6 @@ impl CaratRuntime {
         hit
     }
 
-    /// Number of tracked allocations.
-    pub fn n_tracked(&self) -> usize {
-        self.table.len()
-    }
-
     /// Mark the allocation based at `base` read-only (protection, e.g. for
     /// attested code or kernel data). Returns false if untracked.
     pub fn protect_readonly(&mut self, base: u64) -> bool {

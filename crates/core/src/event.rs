@@ -142,12 +142,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Publish the queue's lifetime counters into `sink`'s registry as
-    /// gauges under telemetry shard `shard`, stamped with the queue's
-    /// current time. A standalone queue publishes under shard 0; a queue
-    /// that is one shard of a [`crate::shard::ShardedKernel`] publishes
-    /// under its own shard index, so the registry's per-shard breakdown
-    /// mirrors the kernel's sharding. Gauge semantics make re-publishing
-    /// idempotent.
+    /// gauges under registry shard `shard`, stamped with the queue's
+    /// current time. Gauge semantics make re-publishing idempotent.
     pub fn publish_telemetry(&self, sink: &Sink, shard: usize) {
         sink.gauge_at(&KEY_SCHEDULED, shard, self.stats.scheduled, self.now);
         sink.gauge_at(&KEY_POPPED, shard, self.stats.popped, self.now);

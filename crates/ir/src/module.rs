@@ -38,11 +38,6 @@ impl Module {
         &self.funcs[id.index()]
     }
 
-    /// Mutably borrow a function.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.funcs[id.index()]
-    }
-
     /// Total instruction count across functions.
     pub fn inst_count(&self) -> usize {
         self.funcs.iter().map(|f| f.inst_count()).sum()

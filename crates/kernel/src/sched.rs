@@ -117,12 +117,6 @@ impl Edf {
         self.heap.pop().map(|b| b.0)
     }
 
-    /// Re-enqueue a task for its next period (deadline advanced).
-    pub fn requeue_next_period(&mut self, mut t: EdfTask) {
-        t.deadline += t.period;
-        self.heap.push(ByDeadline(t));
-    }
-
     /// Admitted utilization as a fraction.
     pub fn utilization(&self) -> f64 {
         self.util_ppm as f64 / 1_000_000.0

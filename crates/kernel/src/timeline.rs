@@ -60,15 +60,6 @@ impl CpuTimeline {
         }
     }
 
-    /// Jump to absolute time `t` attributing the gap to overhead (e.g.
-    /// waiting inside a kernel primitive); no-op if `t` is in the past.
-    pub fn spend_until(&mut self, t: Cycles) {
-        if t > self.now {
-            self.overhead += t - self.now;
-            self.now = t;
-        }
-    }
-
     /// Fraction of elapsed time spent on application work.
     pub fn efficiency(&self) -> f64 {
         if self.now.get() == 0 {
