@@ -19,7 +19,7 @@
 //! resident lines (with swap-remove back-pointers) makes `len`,
 //! `resident` and `entries` O(residents) rather than O(range).
 
-use crate::linehash::LineMap;
+use interweave_core::hash::LineMap;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 

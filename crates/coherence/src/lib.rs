@@ -17,8 +17,6 @@
 //! deactivation extension:
 //!
 //! - [`cache`]: per-core private caches (clock-LRU).
-//! - [`linehash`]: the fast deterministic line-address hasher the hot
-//!   tables use in place of SipHash.
 //! - [`noc`]: the mesh topology, hop latency, and flit energy.
 //! - [`protocol`]: the coherence engine — full MESI and the selective
 //!   extension (private regions homed at the owner's slice with no
@@ -35,7 +33,6 @@
 
 pub mod cache;
 pub mod experiment;
-pub mod linehash;
 pub mod noc;
 pub mod ordering;
 pub mod protocol;

@@ -25,9 +25,9 @@
 //! instead of consulting four parallel maps.
 
 use crate::cache::{Cache, Entry, Mesi};
-use crate::linehash::LineMap;
 use crate::noc::Mesh;
 use interweave_core::energy::{EnergyLedger, EnergyModel};
+use interweave_core::hash::LineMap;
 
 /// Coherence policy under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,10 +15,16 @@
 //! bounded by the live event count. The heap top is never left tombstoned,
 //! which keeps [`EventQueue::peek_time`] an `&self` read.
 
+use crate::hash::LineHash;
 use crate::telemetry::{Key, Layer, Sink, Unit};
 use crate::time::Cycles;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
+
+/// A set of event sequence numbers under the fast deterministic hasher:
+/// the queue touches these sets on every cancellable schedule and on every
+/// pop, and the seqs are simulator-internal, so SipHash buys nothing.
+type SeqSet = HashSet<u64, LineHash>;
 
 /// Registry key: events scheduled since the queue was created.
 const KEY_SCHEDULED: Key = Key::new("core.evq.scheduled", Layer::Hardware, Unit::Count);
@@ -109,9 +115,9 @@ pub struct EventQueue<E> {
     now: Cycles,
     /// Seqs of events scheduled via `schedule_cancellable` and still
     /// pending; membership makes `cancel` accurate and idempotent.
-    cancellable: HashSet<u64>,
+    cancellable: SeqSet,
     /// Tombstones: seqs of cancelled events still physically in the heap.
-    cancelled: HashSet<u64>,
+    cancelled: SeqSet,
     /// Lifetime telemetry counters.
     stats: EvqStats,
 }
@@ -129,8 +135,8 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: Cycles::ZERO,
-            cancellable: HashSet::new(),
-            cancelled: HashSet::new(),
+            cancellable: SeqSet::default(),
+            cancelled: SeqSet::default(),
             stats: EvqStats::default(),
         }
     }

@@ -21,36 +21,10 @@
 use crate::inst::{BinOp, CmpOp, Inst, Intrinsic, Term};
 use crate::module::Module;
 use crate::types::{BlockId, FuncId, Reg, Val};
+use interweave_core::hash::LineMap;
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hasher for the id → base index. Allocation ids are already unique dense
-/// integers, so a single multiplicative scramble beats the default SipHash
-/// on the alloc/free path (the index is maintained on every allocation).
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type IdMap = HashMap<u64, u64, BuildHasherDefault<IdHasher>>;
 
 /// Identifier of a live allocation (provenance tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -239,8 +213,11 @@ pub struct Memory {
     page_origin: u64,
     /// Live allocations keyed by base address.
     allocs: BTreeMap<u64, Allocation>,
-    /// O(1) id → base index (kept in lockstep with `allocs`).
-    base_by_id: IdMap,
+    /// O(1) id → base index (kept in lockstep with `allocs`). Allocation ids
+    /// are simulator-internal, so the fast `u64` hasher replaces SipHash on
+    /// the alloc/free path; the map is never iterated, so its order cannot
+    /// leak into results.
+    base_by_id: LineMap<u64>,
     /// Last allocation that answered `containing()` — the interpreter's
     /// accesses are strongly clustered, so this hits almost always.
     /// Invalidated on free and move (see those methods); plain `alloc` never
@@ -275,7 +252,7 @@ impl Memory {
             pages: Vec::new(),
             page_origin: cfg.heap_base & !PAGE_MASK,
             allocs: BTreeMap::new(),
-            base_by_id: IdMap::default(),
+            base_by_id: LineMap::default(),
             last_hit: Cell::new(None),
             free: BTreeMap::new(),
             bump: cfg.heap_base,

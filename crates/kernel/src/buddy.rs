@@ -8,18 +8,52 @@
 //!
 //! This is a real allocator (not a cost model): blocks split to the
 //! requested order on allocation and recursively coalesce with their buddy
-//! on free. Property tests in `tests/` verify disjointness and full
-//! coalescing.
+//! on free. A dense per-min-block table finds a buddy, or the block
+//! containing an address, without searching. Property tests in `tests/`
+//! verify disjointness and full coalescing, and check every call against
+//! the earlier search-based zone.
 
 use interweave_core::telemetry::{Key, Layer, Sink, Unit};
 
 /// The maximum block order supported (2^MAX_ORDER × min-block bytes).
-pub const MAX_ORDER: usize = 24;
+///
+/// Each zone keeps a dense table with one 6-byte slot per min-block
+/// (that is what makes `free` and `containing` O(1) and O(levels)), so a
+/// zone of order 20 costs at most 6 MB of bookkeeping. The largest in-tree
+/// zone has 2^14 min-blocks; the bound keeps a typo in a zone geometry
+/// from turning into a huge table.
+pub const MAX_ORDER: usize = 20;
 
 const KEY_ALLOCS: Key = Key::new("kernel.buddy.allocs", Layer::Kernel, Unit::Count);
 const KEY_FREES: Key = Key::new("kernel.buddy.frees", Layer::Kernel, Unit::Count);
 const KEY_OOM: Key = Key::new("kernel.buddy.oom", Layer::Kernel, Unit::Count);
 const KEY_LIVE_BYTES: Key = Key::new("kernel.buddy.live_bytes", Layer::Kernel, Unit::Bytes);
+
+/// A [`Slot`] order field meaning "no block of this kind is based here".
+const NONE: u8 = u8::MAX;
+
+/// What is based at one min-block offset of a zone. Blocks are aligned to
+/// their size, so a block is found by probing its aligned base; at most one
+/// of `live` and `free` is set, because the min-block at the base belongs
+/// to exactly one block. Packed to 6 bytes (see [`MAX_ORDER`]).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(2))]
+struct Slot {
+    /// Order of the live block based here, or [`NONE`].
+    live: u8,
+    /// Order of the free block based here, or [`NONE`].
+    free: u8,
+    /// That free block's index in `free[order]`.
+    at: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        live: NONE,
+        free: NONE,
+        at: 0,
+    };
+}
 
 /// One buddy zone managing a contiguous physical range.
 #[derive(Debug, Clone)]
@@ -30,10 +64,13 @@ pub struct BuddyZone {
     /// Order of the whole zone relative to min blocks.
     levels: usize,
     /// Free lists per order (order 0 = min block). Entries are offsets from
-    /// `base` in min-block units.
+    /// `base` in min-block units. Allocation pops from the back, so the
+    /// order of each list decides which address the next request gets.
     free: Vec<Vec<u64>>,
-    /// Allocated blocks: offset (min-block units) → order.
-    live: std::collections::BTreeMap<u64, usize>,
+    /// One slot per min-block offset, kept in lockstep with `free`.
+    slots: Vec<Slot>,
+    /// Number of live allocations.
+    live: usize,
     /// Bytes currently allocated (as block sizes, i.e. including internal
     /// fragmentation).
     pub live_bytes: u64,
@@ -69,16 +106,17 @@ impl BuddyZone {
     /// bytes each.
     pub fn new(base: u64, min_order: u32, levels: usize) -> BuddyZone {
         assert!(levels <= MAX_ORDER, "zone too large");
-        let mut free = vec![Vec::new(); levels + 1];
-        free[levels].push(0); // one block covering the whole zone
-        BuddyZone {
+        let mut z = BuddyZone {
             base,
             min_order,
             levels,
-            free,
-            live: std::collections::BTreeMap::new(),
+            free: vec![Vec::new(); levels + 1],
+            slots: vec![Slot::EMPTY; 1 << levels],
+            live: 0,
             live_bytes: 0,
-        }
+        };
+        z.push_free(levels, 0); // one block covering the whole zone
+        z
     }
 
     /// Zone capacity in bytes.
@@ -95,6 +133,30 @@ impl BuddyZone {
         } else {
             Ok(order)
         }
+    }
+
+    /// Append the free block `off` of `order` to its free list.
+    fn push_free(&mut self, order: usize, off: u64) {
+        let list = &mut self.free[order];
+        self.slots[off as usize] = Slot {
+            live: NONE,
+            free: order as u8,
+            at: list.len() as u32,
+        };
+        list.push(off);
+    }
+
+    /// Take the free block `off` of `order` out of its free list with a
+    /// `swap_remove`, re-indexing the element that moved into its place.
+    fn remove_free(&mut self, order: usize, off: u64) {
+        let i = self.slots[off as usize].at as usize;
+        let list = &mut self.free[order];
+        debug_assert_eq!(list[i], off, "free-list index out of step");
+        list.swap_remove(i);
+        if let Some(&moved) = list.get(i) {
+            self.slots[moved as usize].at = i as u32;
+        }
+        self.slots[off as usize].free = NONE;
     }
 
     /// Allocate at least `bytes`; returns the block's physical address.
@@ -115,68 +177,81 @@ impl BuddyZone {
         // Split down to the wanted order.
         while have > want {
             have -= 1;
-            let buddy = off + (1u64 << have);
-            self.free[have].push(buddy);
+            self.push_free(have, off + (1u64 << have));
         }
-        self.live.insert(off, want);
+        self.slots[off as usize] = Slot {
+            live: want as u8,
+            ..Slot::EMPTY
+        };
+        self.live += 1;
         self.live_bytes += (1u64 << want) << self.min_order;
         Ok(self.base + (off << self.min_order))
     }
 
     /// Free a previously allocated block; coalesces with free buddies.
+    /// Anything but the base address of a live block is a
+    /// [`AllocError::BadFree`], interior addresses included.
     pub fn free(&mut self, addr: u64) -> Result<(), AllocError> {
-        if addr < self.base {
+        let rel = addr.checked_sub(self.base).ok_or(AllocError::BadFree)?;
+        if rel & ((1u64 << self.min_order) - 1) != 0 {
             return Err(AllocError::BadFree);
         }
-        let mut off = (addr - self.base) >> self.min_order;
-        let mut order = self.live.remove(&off).ok_or(AllocError::BadFree)?;
+        let mut off = rel >> self.min_order;
+        let slot = usize::try_from(off)
+            .ok()
+            .and_then(|i| self.slots.get_mut(i))
+            .filter(|s| s.live != NONE)
+            .ok_or(AllocError::BadFree)?;
+        let mut order = slot.live as usize;
+        slot.live = NONE;
+        self.live -= 1;
         self.live_bytes -= (1u64 << order) << self.min_order;
-        // Coalesce upward while the buddy is free.
+        // Coalesce upward while the buddy is a free block of the same
+        // order. `remove_free`'s `swap_remove` fixes the order of the free
+        // list, and so the address every later allocation returns: pinned
+        // simulator outputs depend on it.
         while order < self.levels {
             let buddy = off ^ (1u64 << order);
-            match self.free[order].iter().position(|&b| b == buddy) {
-                Some(i) => {
-                    self.free[order].swap_remove(i);
-                    off = off.min(buddy);
-                    order += 1;
-                }
-                None => break,
+            if self.slots[buddy as usize].free as usize != order {
+                break;
             }
+            self.remove_free(order, buddy);
+            off = off.min(buddy);
+            order += 1;
         }
-        self.free[order].push(off);
+        self.push_free(order, off);
         Ok(())
     }
 
     /// Number of live allocations.
     pub fn n_live(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     /// True when the zone has coalesced back into a single maximal block —
     /// i.e. everything was freed and coalescing worked perfectly.
     pub fn fully_coalesced(&self) -> bool {
-        self.live.is_empty()
+        self.live == 0
             && self.free[self.levels].len() == 1
             && self.free[..self.levels].iter().all(|l| l.is_empty())
     }
 
     /// The live block (base address, size in bytes) containing `addr`, if
-    /// any.
+    /// any: probes the aligned base of each order, smallest first.
     pub fn containing(&self, addr: u64) -> Option<(u64, u64)> {
-        if addr < self.base {
+        let off = addr.checked_sub(self.base)? >> self.min_order;
+        if off >> self.levels != 0 {
             return None;
         }
-        let off = (addr - self.base) >> self.min_order;
-        self.live
-            .range(..=off)
-            .next_back()
-            .map(|(&b, &o)| {
+        (0..=self.levels).find_map(|order| {
+            let b = off & !((1u64 << order) - 1);
+            (self.slots[b as usize].live as usize == order).then(|| {
                 (
                     self.base + (b << self.min_order),
-                    (1u64 << o) << self.min_order,
+                    (1u64 << order) << self.min_order,
                 )
             })
-            .filter(|&(b, sz)| addr < b + sz)
+        })
     }
 }
 
@@ -342,6 +417,18 @@ mod tests {
         let a = z.alloc(64).unwrap();
         z.free(a).unwrap();
         assert_eq!(z.free(a), Err(AllocError::BadFree));
+    }
+
+    #[test]
+    fn interior_free_rejected_and_block_stays_live() {
+        let mut z = BuddyZone::new(0x4000, 6, 6);
+        let a = z.alloc(128).unwrap();
+        assert_eq!(z.free(a + 1), Err(AllocError::BadFree));
+        assert_eq!(z.free(a + 64), Err(AllocError::BadFree));
+        assert_eq!(z.n_live(), 1);
+        assert_eq!(z.containing(a), Some((a, 128)));
+        z.free(a).unwrap();
+        assert!(z.fully_coalesced());
     }
 
     #[test]

@@ -13,13 +13,13 @@ use crate::buddy::{AllocError, NumaAllocator};
 use crate::sched::{RoundRobin, RunQueue, TaskId};
 use crate::threads::{home_zone_for, switch_cost, SwitchKind, DEFAULT_STACK_BYTES};
 use crate::work::{Work, WorkStep};
+use interweave_core::hash::LineMap;
 use interweave_core::interrupt::{self, DeliveryOutcome, IrqClass};
 use interweave_core::machine::{CpuId, MachineConfig};
 use interweave_core::stack::OsPoint;
 use interweave_core::telemetry::{FlightRecorder, Key, Layer, Sink, Span, SpanKind, Unit};
 use interweave_core::time::Cycles;
 use interweave_core::{EventHandle, EventQueue, FaultPlan};
-use std::collections::HashMap;
 
 const KEY_PREEMPTIONS: Key = Key::new("kernel.sched.preemptions", Layer::Kernel, Unit::Count);
 const KEY_YIELDS: Key = Key::new("kernel.sched.yields", Layer::Kernel, Unit::Count);
@@ -37,7 +37,9 @@ enum TaskState {
     /// Parked waiting on a signal tag (kept for debugging dumps).
     #[allow(dead_code)]
     Blocked(u64),
-    Done,
+    /// Finished at this time, which is also when its id was signalled: a
+    /// later join on the id passes straight through and advances to it.
+    Done(Cycles),
 }
 
 struct Task {
@@ -122,8 +124,9 @@ pub struct Executor {
     quantum: Cycles,
     tasks: Vec<Task>,
     cpus: Vec<Cpu>,
-    waiters: HashMap<u64, Vec<TaskId>>,
-    signalled: HashMap<u64, Cycles>,
+    /// Tasks parked on each signal tag (never iterated, so the fast hasher
+    /// cannot leak an order into the run).
+    waiters: LineMap<Vec<TaskId>>,
     /// The event queue driving simulated time.
     events: EventQueue<ExecEvent>,
     tracing: bool,
@@ -174,8 +177,7 @@ impl Executor {
             quantum,
             tasks: Vec::new(),
             cpus,
-            waiters: HashMap::new(),
-            signalled: HashMap::new(),
+            waiters: LineMap::default(),
             events: EventQueue::new(),
             tracing: false,
             os: OsPoint::NkLike,
@@ -414,8 +416,11 @@ impl Executor {
         }
     }
 
+    /// Wake every task parked on `tag` at `at`.
     fn signal(&mut self, tag: u64, at: Cycles) {
-        self.signalled.insert(tag, at);
+        if self.waiters.is_empty() {
+            return;
+        }
         if let Some(ws) = self.waiters.remove(&tag) {
             for tid in ws {
                 let t = &mut self.tasks[tid as usize];
@@ -500,7 +505,7 @@ impl Executor {
         }
         self.tasks
             .iter()
-            .all(|t| matches!(t.state, TaskState::Done))
+            .all(|t| matches!(t.state, TaskState::Done(_)))
     }
 
     /// One watchdog heartbeat: detect lost-kick stalls (runnable work, no
@@ -593,10 +598,18 @@ impl Executor {
                         return;
                     }
                     WorkStep::Block(tag) => {
-                        // Already-signalled tags pass straight through
+                        // A finished task's id passes straight through
                         // (join on a finished task) — but causality holds:
                         // the joiner's clock advances to the signal time.
-                        if let Some(&st) = self.signalled.get(&tag) {
+                        // Any other tag parks until it is signalled.
+                        let finished = usize::try_from(tag)
+                            .ok()
+                            .and_then(|i| self.tasks.get(i))
+                            .and_then(|t| match t.state {
+                                TaskState::Done(at) => Some(at),
+                                _ => None,
+                            });
+                        if let Some(st) = finished {
                             let c = &mut self.cpus[cpu];
                             if st > c.now {
                                 self.sink.charge(Layer::Kernel, "join-wait", st - c.now);
@@ -606,7 +619,7 @@ impl Executor {
                         }
                         self.stats.blocks += 1;
                         self.sink.count_at(&KEY_BLOCKS, cpu, 1, self.cpus[cpu].now);
-                        task.state = TaskState::Blocked(tag);
+                        self.tasks[tid as usize].state = TaskState::Blocked(tag);
                         self.waiters.entry(tag).or_default().push(tid);
                         let now = self.cpus[cpu].now;
                         if !self.cpus[cpu].queue.is_empty() {
@@ -615,13 +628,13 @@ impl Executor {
                         return;
                     }
                     WorkStep::Done => {
-                        task.state = TaskState::Done;
+                        let now = self.cpus[cpu].now;
+                        task.state = TaskState::Done(now);
                         // Return the task's stack to its buddy zone.
                         let stack = task.stack.take();
                         if let (Some(base), Some(alloc)) = (stack, self.stack_alloc.as_mut()) {
                             let _ = alloc.free(base);
                         }
-                        let now = self.cpus[cpu].now;
                         self.signal(tid, now);
                         if !self.cpus[cpu].queue.is_empty() {
                             self.kick(cpu, now);
@@ -748,6 +761,27 @@ mod tests {
             ])),
         );
         assert!(e.run());
+    }
+
+    #[test]
+    fn join_on_finished_task_advances_to_its_completion_time() {
+        // The child's whole run is one dispatch that ends at 50k, before
+        // CPU 0 dispatches the parent at time 0: the join finds the child
+        // done and must still wait for its completion time.
+        let mut e = exec(2, 1_000_000);
+        let child = e.spawn(1, Box::new(LoopWork::new(1, Cycles(50_000))));
+        e.spawn(
+            0,
+            Box::new(ScriptedWork::new(vec![
+                WorkStep::Compute(Cycles(100)),
+                WorkStep::Block(child),
+                WorkStep::Compute(Cycles(100)),
+                WorkStep::Done,
+            ])),
+        );
+        assert!(e.run());
+        assert_eq!(e.stats.blocks, 0, "a finished task's join never parks");
+        assert_eq!(e.stats.makespan, Cycles(50_100));
     }
 
     #[test]
