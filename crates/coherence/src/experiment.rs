@@ -14,10 +14,6 @@
 //! original sequential loop.
 
 use crate::protocol::{Class, CohMode, ProtocolKind, System, SystemConfig};
-
-fn interweave_coherence_protocol_kind() -> ProtocolKind {
-    ProtocolKind::Mesi
-}
 use crate::workloads::{
     fig7_mixes, handoff_range, initialize_readonly, round_stream_into, Access, Layout, WorkloadMix,
 };
@@ -83,7 +79,7 @@ fn run_one_inner(
         cores,
         l1_lines: 512,
         mode,
-        protocol: interweave_coherence_protocol_kind(),
+        protocol: ProtocolKind::Mesi,
         lat: Default::default(),
     });
     if let Some((per_domain, penalty)) = disaggregation {
@@ -91,7 +87,8 @@ fn run_one_inner(
     }
     let layout = Layout::new(mix, cores);
     // The footprint is known up front and contiguous from the layout base:
-    // back it with dense storage so the measured region never hashes.
+    // back the line-state table with dense storage so the measured region
+    // never hashes.
     sys.reserve_dense(0x1000, layout.total_lines(mix));
     // Initialization phase (not measured, matching the paper's region-of-
     // interest methodology): build the read-only input, then classify.
@@ -238,7 +235,7 @@ mod tests {
             cores,
             l1_lines: 512,
             mode,
-            protocol: interweave_coherence_protocol_kind(),
+            protocol: ProtocolKind::Mesi,
             lat: Default::default(),
         });
         if let Some((per_domain, penalty)) = disaggregation {

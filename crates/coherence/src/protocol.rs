@@ -406,16 +406,14 @@ impl System {
             .reserve(n.saturating_sub(self.lines.spill.len()));
     }
 
-    /// Back the line range `[base, base + n)` with dense storage — in the
-    /// line-state table and in every core's cache: every access to it
-    /// becomes an array index instead of a hash lookup. Observationally
-    /// identical to the spill map (sweeps with a known contiguous layout
-    /// call this instead of [`System::reserve_lines`]); any state the
-    /// range already accumulated migrates over.
+    /// Back the line range `[base, base + n)` of the line-state table with
+    /// dense storage: every table access to it becomes an array index
+    /// instead of a hash lookup. Observationally identical to the spill map
+    /// (sweeps with a known contiguous layout call this instead of
+    /// [`System::reserve_lines`]); any state the range already accumulated
+    /// migrates over. The caches need no reservation: their size follows
+    /// their capacity, not the address range.
     pub fn reserve_dense(&mut self, base: u64, n: usize) {
-        for c in &mut self.caches {
-            c.reserve_dense(base, n);
-        }
         let mut dense = vec![LineState::default(); n];
         self.lines.spill.retain(|&line, st| {
             let off = line.wrapping_sub(base);
@@ -472,10 +470,6 @@ impl System {
             CohMode::Full => Class::Shared,
             CohMode::Selective => st.class().unwrap_or(Class::Shared),
         }
-    }
-
-    fn class_of(&self, line: u64) -> Class {
-        self.resolve_class(&self.line_state(line))
     }
 
     #[inline]
@@ -668,7 +662,7 @@ impl System {
                             .expect("directory says owner holds the line");
                         let v = oe.version;
                         // Downgrade + writeback to home.
-                        self.caches[owner].set_state(line, Mesi::S);
+                        self.caches[owner].set_state(oe, Mesi::S);
                         self.stats.writebacks += 1;
                         st.set_l3(v);
                         self.charge_msg(self.mesh.hops(owner, home), self.mesh.data_flits);
@@ -683,6 +677,7 @@ impl System {
             }
         };
         self.lines.set(line, st);
+        #[cfg(debug_assertions)]
         if let Some(e) = self.caches[core].peek(line) {
             debug_assert_eq!(
                 e.version,
@@ -711,10 +706,10 @@ impl System {
             Class::Private(owner) => {
                 debug_assert_eq!(owner, core, "disentanglement violation on {line:#x}");
                 self.stats.deactivated += 1;
-                if self.caches[core].probe(line).is_some() {
+                if let Some(e) = self.caches[core].probe(line) {
                     self.stats.l1_hits += 1;
                     let v = self.lines.bump_latest(line);
-                    self.caches[core].write_hit(line, v);
+                    self.caches[core].write_hit(e, v);
                     self.cfg.lat.l1_hit
                 } else {
                     let mut st = self.line_state(line);
@@ -723,8 +718,8 @@ impl System {
                     let (fetch, _) = self.fetch_at_home(&mut st);
                     self.charge_msg(0, self.mesh.data_flits);
                     self.lines.set(line, st);
-                    self.insert_line(core, line, Mesi::E, v);
-                    self.caches[core].write_hit(line, v);
+                    // Fill already written: M at version `v`.
+                    self.insert_line(core, line, Mesi::M, v);
                     self.cfg.lat.l1_hit + fetch
                 }
             }
@@ -734,7 +729,7 @@ impl System {
                     // M hit, or silent E→M upgrade.
                     self.stats.l1_hits += 1;
                     let v = self.lines.bump_latest(line);
-                    self.caches[core].write_hit(line, v);
+                    self.caches[core].write_hit(e, v);
                     self.cfg.lat.l1_hit
                 }
                 probed => self.write_shared_slow(core, line, probed),
@@ -753,7 +748,7 @@ impl System {
             let home = self.mesh.home(line);
             let req_hops = self.mesh.hops(core, home);
             match probed {
-                Some(_) => {
+                Some(e) => {
                     // S → upgrade: invalidate other sharers via home.
                     self.stats.l1_hits += 1;
                     self.charge_msg(req_hops, self.mesh.control_flits);
@@ -762,7 +757,9 @@ impl System {
                         self.cfg.lat.l1_hit + self.mesh.latency(req_hops) + self.cfg.lat.dir;
                     lat += self.invalidate_others(&st, line, core, home);
                     st.set_dir(Dir::Exclusive(core));
-                    self.caches[core].write_hit(line, v);
+                    // `invalidate_others` spares this core's cache, so the
+                    // probed slot still holds the line.
+                    self.caches[core].write_hit(e, v);
                     lat
                 }
                 None => {
@@ -901,58 +898,38 @@ impl System {
 
     /// Verify the single-writer/multiple-reader invariant and directory
     /// consistency for Shared-class lines. Panics on violation.
+    ///
+    /// Each resident copy is checked against its line's directory entry
+    /// alone: an M or E holder must be the directory's exclusive owner, an
+    /// S holder must be in its sharer set, and an S copy may not coexist
+    /// with the exclusive owner's M or E copy. Together these are the
+    /// per-line rules (at most one exclusive holder, no sharers beside it,
+    /// a directory that names it and lists every sharer) without grouping
+    /// the copies by line.
     pub fn check_swmr(&self) {
-        // One sorted sweep over every resident (line, core, state) row,
-        // grouped by line. The per-line holder sets are identical to probing
-        // each cache per line, but the cost is one iteration plus a sort
-        // instead of residents × cores hash lookups.
-        let mut rows: Vec<(u64, usize, Mesi)> = Vec::new();
         for (ci, c) in self.caches.iter().enumerate() {
-            rows.extend(c.entries().map(|(l, e)| (l, ci, e.state)));
-        }
-        rows.sort_unstable_by_key(|&(l, c, _)| (l, c));
-        let mut i = 0;
-        while i < rows.len() {
-            let line = rows[i].0;
-            let mut j = i;
-            while j < rows.len() && rows[j].0 == line {
-                j += 1;
-            }
-            let group = &rows[i..j];
-            i = j;
-            if self.class_of(line) != Class::Shared {
-                continue;
-            }
-            let mut exclusive_holders = Vec::new();
-            let mut shared_holders = Vec::new();
-            for &(_, ci, state) in group {
-                match state {
-                    Mesi::M | Mesi::E => exclusive_holders.push(ci),
-                    Mesi::S => shared_holders.push(ci),
+            for (line, e) in c.entries() {
+                let st = self.line_state(line);
+                if self.resolve_class(&st) != Class::Shared {
+                    continue;
                 }
-            }
-            assert!(
-                exclusive_holders.len() <= 1,
-                "line {line:#x}: multiple exclusive holders {exclusive_holders:?}"
-            );
-            let dir = self.line_state(line).dir();
-            if let Some(&x) = exclusive_holders.first() {
-                assert!(
-                    shared_holders.is_empty(),
-                    "line {line:#x}: exclusive at {x} with sharers {shared_holders:?}"
-                );
-                assert_eq!(
-                    dir,
-                    Dir::Exclusive(x),
-                    "line {line:#x}: directory out of sync with exclusive holder"
-                );
-            }
-            if let Dir::Sharers(mask) = dir {
-                for &s in &shared_holders {
-                    assert!(
-                        mask & (1 << s) != 0,
-                        "line {line:#x}: sharer {s} missing from directory"
-                    );
+                let dir = st.dir();
+                match (e.state, dir) {
+                    (Mesi::M | Mesi::E, Dir::Exclusive(x)) if x == ci => {}
+                    (Mesi::M | Mesi::E, _) => {
+                        panic!("line {line:#x}: exclusive at {ci} but directory says {dir:?}")
+                    }
+                    (Mesi::S, Dir::Sharers(mask)) => assert!(
+                        mask & (1 << ci) != 0,
+                        "line {line:#x}: sharer {ci} missing from directory"
+                    ),
+                    (Mesi::S, Dir::Exclusive(x)) => assert!(
+                        !self.caches[x]
+                            .peek(line)
+                            .is_some_and(|o| o.state != Mesi::S),
+                        "line {line:#x}: exclusive at {x} with sharer {ci}"
+                    ),
+                    (Mesi::S, Dir::Uncached) => {}
                 }
             }
         }
@@ -1220,5 +1197,48 @@ mod tests {
             (cycles, s.stats.invalidations, s.stats.dram_fetches)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// A consistent system to corrupt: line 7 shared by cores 0 and 1,
+    /// line 9 exclusive (M) at core 2.
+    fn consistent() -> System {
+        let mut s = sys(CohMode::Full);
+        s.read(0, 7);
+        s.read(1, 7);
+        s.write(2, 9);
+        s.check_swmr();
+        s
+    }
+
+    #[test]
+    #[should_panic(expected = "line 0x9: exclusive at 3 but directory says Exclusive(2)")]
+    fn check_swmr_catches_two_exclusive_holders() {
+        let mut s = consistent();
+        s.caches[3].insert(9, Mesi::E, 1);
+        s.check_swmr();
+    }
+
+    #[test]
+    #[should_panic(expected = "line 0x9: exclusive at 2 with sharer 3")]
+    fn check_swmr_catches_a_sharer_beside_the_exclusive_holder() {
+        let mut s = consistent();
+        s.caches[3].insert(9, Mesi::S, 1);
+        s.check_swmr();
+    }
+
+    #[test]
+    #[should_panic(expected = "line 0x7: sharer 3 missing from directory")]
+    fn check_swmr_catches_a_sharer_missing_from_the_directory() {
+        let mut s = consistent();
+        s.caches[3].insert(7, Mesi::S, 0);
+        s.check_swmr();
+    }
+
+    #[test]
+    #[should_panic(expected = "line 0x9: exclusive at 2 but directory says Uncached")]
+    fn check_swmr_catches_a_directory_out_of_sync() {
+        let mut s = consistent();
+        s.lines.state_mut(9).set_dir(Dir::Uncached);
+        s.check_swmr();
     }
 }

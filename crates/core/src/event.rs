@@ -375,6 +375,8 @@ mod tests {
         assert_eq!(q.now(), Cycles(500));
     }
 
+    // The check is a `debug_assert!`, so release builds have nothing to test.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn schedule_in_past_panics_in_debug() {
