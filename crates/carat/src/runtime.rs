@@ -354,12 +354,7 @@ impl RuntimeHooks for CaratRuntime {
                 let base = args[1].as_ptr();
                 let holder = mem
                     .containing(base)
-                    .and_then(|a| {
-                        (a.base..a.base + a.size).step_by(8).find(|&addr| {
-                            matches!(mem.load(addr),
-                                     Ok((Val::I(v), _)) if v as u64 == value)
-                        })
-                    })
+                    .and_then(|a| mem.find_int_word(a.base, a.base + a.size, value))
                     .unwrap_or(base);
                 self.escapes.insert(holder, value);
                 HookAction::Continue {

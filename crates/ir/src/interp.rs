@@ -17,6 +17,13 @@
 //!   what makes defragmentation (§IV-A's "memory can be managed at
 //!   arbitrary granularity") exact: when an allocation moves, every live
 //!   pointer to it — in memory or in registers — is found and patched.
+//!
+//! The hot core is laid out for the host cache. Registers and memory cells
+//! hold the same 16-byte word (value bits, packed provenance and type). A
+//! page keeps its 64 word-aligned cells densely; every frame's registers are
+//! a window of one shared register stack; and [`Interp::run`] executes a
+//! block's straight-line instructions in an inner loop, looking the function
+//! and block up again only on a call, a return or an exit.
 
 use crate::inst::{BinOp, CmpOp, Inst, Intrinsic, Term};
 use crate::module::Module;
@@ -105,78 +112,172 @@ pub enum Trap {
         /// The bogus address.
         addr: u64,
     },
+    /// A register that must hold an integer (an operand of integer
+    /// arithmetic, an address, a size, a freed pointer or a traced value)
+    /// held a float.
+    TypeError,
     /// A hook aborted execution with a message.
     Aborted(String),
 }
 
-/// One memory word: a value plus the provenance of the pointer it may hold.
+/// One word as a register or a memory cell holds it: the value's bits and
+/// a tag packing `prov_raw << 1 | is_float`.
 ///
-/// Provenance is packed as a raw id with 0 meaning "none" — [`AllocId`]s
-/// start at 1, so the zero-filled state of a fresh page is exactly the
-/// never-written word `(Val::I(0), None)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct MemCell {
-    val: Val,
-    prov_raw: u64,
+/// Provenance is a raw id with 0 meaning "none" — [`AllocId`]s start at 1,
+/// so the all-zero word is exactly the never-written word
+/// `(Val::I(0), None)` that fresh pages hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Word {
+    bits: u64,
+    tag: u64,
 }
 
-impl MemCell {
-    /// The never-written word: integer zero, no provenance. Fresh pages are
-    /// filled with it, and `free` resets words back to it.
-    const ZERO: MemCell = MemCell {
-        val: Val::I(0),
-        prov_raw: 0,
-    };
+impl Word {
+    /// The never-written word: integer zero, no provenance. Fresh pages and
+    /// registers are filled with it, and `free` resets words back to it.
+    const ZERO: Word = Word { bits: 0, tag: 0 };
+
+    #[inline]
+    fn int(v: i64, prov_raw: u64) -> Word {
+        Word {
+            bits: v as u64,
+            tag: prov_raw << 1,
+        }
+    }
+
+    #[inline]
+    fn float(v: f64) -> Word {
+        Word {
+            bits: v.to_bits(),
+            tag: 1,
+        }
+    }
+
+    #[inline]
+    fn new(val: Val, prov: Option<AllocId>) -> Word {
+        let prov_raw = prov.map_or(0, |id| id.0);
+        match val {
+            Val::I(v) => Word::int(v, prov_raw),
+            Val::F(v) => Word {
+                bits: v.to_bits(),
+                tag: prov_raw << 1 | 1,
+            },
+        }
+    }
+
+    #[inline]
+    fn is_float(self) -> bool {
+        self.tag & 1 != 0
+    }
+
+    #[inline]
+    fn val(self) -> Val {
+        if self.is_float() {
+            Val::F(f64::from_bits(self.bits))
+        } else {
+            Val::I(self.bits as i64)
+        }
+    }
+
+    /// The integer held, or `None` for a float (a guest type error).
+    #[inline]
+    fn as_int(self) -> Option<i64> {
+        (!self.is_float()).then_some(self.bits as i64)
+    }
+
+    #[inline]
+    fn as_f(self) -> f64 {
+        self.val().as_f()
+    }
+
+    #[inline]
+    fn prov_raw(self) -> u64 {
+        self.tag >> 1
+    }
 
     #[inline]
     fn prov(self) -> Option<AllocId> {
-        if self.prov_raw == 0 {
-            None
-        } else {
-            Some(AllocId(self.prov_raw))
-        }
-    }
-
-    #[inline]
-    fn pack_prov(prov: Option<AllocId>) -> u64 {
-        match prov {
-            Some(id) => id.0,
-            None => 0,
+        match self.prov_raw() {
+            0 => None,
+            id => Some(AllocId(id)),
         }
     }
 }
 
-/// Word cells per page. Each cell covers one *byte address* (the IR's loads
-/// and stores are 8-byte words at arbitrary byte addresses, and two words at
-/// overlapping addresses are independent cells, exactly as in the original
-/// word-map representation), so a page spans `PAGE_CELLS` consecutive byte
-/// addresses.
+/// Byte addresses per page. The IR's loads and stores are 8-byte words at
+/// arbitrary byte addresses, and two words at overlapping addresses are
+/// independent cells (exactly as in the original word-map representation),
+/// so a page spans `PAGE_CELLS` consecutive byte addresses, each of which
+/// may hold a cell: the `PAGE_WORDS` word-aligned ones densely, the
+/// unaligned ones in a spill array.
 const PAGE_CELLS: usize = 512;
+const PAGE_WORDS: usize = PAGE_CELLS / 8;
 const PAGE_SHIFT: u32 = PAGE_CELLS.trailing_zeros();
 const PAGE_MASK: u64 = PAGE_CELLS as u64 - 1;
 
 /// One resident page: its cells plus a dirty watermark — the inclusive-lo /
-/// exclusive-hi range of cell indices that may hold a non-zero word. Every
+/// exclusive-hi range of page offsets that may hold a non-zero word. Every
 /// write path widens the watermark, so `free` can clear (and the provenance
 /// patch sweep can scan) only the written span, keeping both proportional
-/// to stored words — matching the word-map layout's cost — rather than to
-/// the byte range.
+/// to stored words rather than to the byte range.
 #[derive(Clone)]
 struct Page {
-    cells: Box<[MemCell]>,
-    /// Lowest possibly-dirty cell index (`PAGE_CELLS` when clean).
+    /// The word-aligned cells: page offset `off` is `words[off / 8]`.
+    words: [Word; PAGE_WORDS],
+    /// The unaligned cells, indexed by page offset (the aligned entries
+    /// stay zero). Allocated by the first unaligned store to the page.
+    spill: Option<Box<[Word]>>,
+    /// Lowest possibly-dirty page offset (`PAGE_CELLS` when clean).
     lo: u32,
-    /// One past the highest possibly-dirty cell index (0 when clean).
+    /// One past the highest possibly-dirty page offset (0 when clean).
     hi: u32,
 }
 
 impl Page {
-    fn new() -> Page {
-        Page {
-            cells: vec![MemCell::ZERO; PAGE_CELLS].into_boxed_slice(),
+    fn new() -> Box<Page> {
+        Box::new(Page {
+            words: [Word::ZERO; PAGE_WORDS],
+            spill: None,
             lo: PAGE_CELLS as u32,
             hi: 0,
+        })
+    }
+
+    #[inline]
+    fn get(&self, off: usize) -> Word {
+        if off.is_multiple_of(8) {
+            self.words[off / 8]
+        } else {
+            self.spill.as_ref().map_or(Word::ZERO, |s| s[off])
         }
+    }
+
+    /// The cell at `off`, widening the dirty watermark over it.
+    #[inline]
+    fn get_mut(&mut self, off: usize) -> &mut Word {
+        self.lo = self.lo.min(off as u32);
+        self.hi = self.hi.max(off as u32 + 1);
+        if off.is_multiple_of(8) {
+            &mut self.words[off / 8]
+        } else {
+            let spill = self
+                .spill
+                .get_or_insert_with(|| vec![Word::ZERO; PAGE_CELLS].into_boxed_slice());
+            &mut spill[off]
+        }
+    }
+
+    /// Every cell at a page offset in `[s, e)` that may be non-zero: the
+    /// part of the range inside the dirty watermark.
+    fn dirty_mut(&mut self, s: usize, e: usize) -> impl Iterator<Item = &mut Word> {
+        let s = s.max(self.lo as usize);
+        let e = e.min(self.hi as usize).max(s);
+        let words = self.words[s.div_ceil(8)..e.div_ceil(8)].iter_mut();
+        let spill = self
+            .spill
+            .iter_mut()
+            .flat_map(move |sp| sp[s..e].iter_mut());
+        words.chain(spill)
     }
 }
 
@@ -191,6 +292,15 @@ pub struct Allocation {
     pub size: u64,
 }
 
+/// Ways of the allocation cache in front of the allocation map.
+const HIT_WAYS: usize = 4;
+/// An empty cache way: it contains no address.
+const NO_HIT: Allocation = Allocation {
+    id: AllocId(0),
+    base: 0,
+    size: 0,
+};
+
 /// Flat physical memory with an allocator and provenance tracking.
 ///
 /// Addresses are bytes; loads and stores move 8-byte words (the IR's only
@@ -199,15 +309,15 @@ pub struct Allocation {
 /// defragmentation experiment needs fragmentation to repair.
 /// Words live in fixed-size pages allocated on first touch (zero-filled,
 /// like fresh pages from an OS), so a load or store is index arithmetic
-/// rather than a tree lookup. A last-hit cache in front of the allocation
-/// map makes the bounds check on the hot path a single range compare, and an
-/// `AllocId → base` index lets defragmentation find an allocation without
-/// scanning the live set.
+/// rather than a tree lookup. A small cache of recently hit allocations in
+/// front of the allocation map makes the bounds check on the hot path a few
+/// range compares, and an `AllocId → base` index lets defragmentation find
+/// an allocation without scanning the live set.
 #[derive(Clone)]
 pub struct Memory {
     /// Sparse page table: `pages[(addr - page_origin) >> PAGE_SHIFT]`.
     /// Absent pages read as zero; they materialise on first store.
-    pages: Vec<Option<Page>>,
+    pages: Vec<Option<Box<Page>>>,
     /// Address of cell 0 of page 0 (`heap_base` rounded down to a page
     /// boundary).
     page_origin: u64,
@@ -218,11 +328,15 @@ pub struct Memory {
     /// the alloc/free path; the map is never iterated, so its order cannot
     /// leak into results.
     base_by_id: LineMap<u64>,
-    /// Last allocation that answered `containing()` — the interpreter's
-    /// accesses are strongly clustered, so this hits almost always.
-    /// Invalidated on free and move (see those methods); plain `alloc` never
-    /// relocates a live allocation, so it only ever *replaces* the entry.
-    last_hit: Cell<Option<Allocation>>,
+    /// Allocations that recently answered `containing()`, checked before
+    /// the tree. Programs alternate between a few arrays, so one of these
+    /// almost always hits. `alloc` primes a way with the fresh allocation
+    /// (plain alloc never relocates a live one), `free` clears the way
+    /// holding the freed base, and `move_allocation` re-primes with the new
+    /// home.
+    hits: [Cell<Allocation>; HIT_WAYS],
+    /// The way the next prime replaces (round robin).
+    hit_next: Cell<usize>,
     /// Free blocks keyed by base address → size.
     free: BTreeMap<u64, u64>,
     bump: u64,
@@ -253,7 +367,8 @@ impl Memory {
             page_origin: cfg.heap_base & !PAGE_MASK,
             allocs: BTreeMap::new(),
             base_by_id: LineMap::default(),
-            last_hit: Cell::new(None),
+            hits: std::array::from_fn(|_| Cell::new(NO_HIT)),
+            hit_next: Cell::new(0),
             free: BTreeMap::new(),
             bump: cfg.heap_base,
             limit: cfg.heap_base + cfg.heap_size,
@@ -262,29 +377,31 @@ impl Memory {
         }
     }
 
+    /// The resident page holding `addr`, if any.
+    #[inline]
+    fn page(&self, addr: u64) -> Option<&Page> {
+        let pi = ((addr - self.page_origin) >> PAGE_SHIFT) as usize;
+        self.pages.get(pi)?.as_deref()
+    }
+
     /// Read the cell at `addr` (absent pages read as the zero word).
     #[inline]
-    fn cell(&self, addr: u64) -> MemCell {
-        let pi = ((addr - self.page_origin) >> PAGE_SHIFT) as usize;
-        match self.pages.get(pi) {
-            Some(Some(page)) => page.cells[(addr & PAGE_MASK) as usize],
-            _ => MemCell::ZERO,
-        }
+    fn cell(&self, addr: u64) -> Word {
+        self.page(addr)
+            .map_or(Word::ZERO, |p| p.get((addr & PAGE_MASK) as usize))
     }
 
     /// Mutable cell at `addr`, materialising its page on first touch and
     /// widening the page's dirty watermark over the handed-out cell.
     #[inline]
-    fn cell_mut(&mut self, addr: u64) -> &mut MemCell {
+    fn cell_mut(&mut self, addr: u64) -> &mut Word {
         let pi = ((addr - self.page_origin) >> PAGE_SHIFT) as usize;
         if pi >= self.pages.len() {
             self.pages.resize_with(pi + 1, || None);
         }
-        let page = self.pages[pi].get_or_insert_with(Page::new);
-        let ci = (addr & PAGE_MASK) as usize;
-        page.lo = page.lo.min(ci as u32);
-        page.hi = page.hi.max(ci as u32 + 1);
-        &mut page.cells[ci]
+        self.pages[pi]
+            .get_or_insert_with(Page::new)
+            .get_mut((addr & PAGE_MASK) as usize)
     }
 
     /// Reset every cell in `[start, end)` to the never-written word,
@@ -299,13 +416,9 @@ impl Memory {
                 let s = (addr & PAGE_MASK) as usize;
                 let e = s + (chunk_end - addr) as usize;
                 // Only cells inside the dirty watermark can be non-zero, so
-                // clamp the clear to it: free's cost tracks the words
+                // the clear is clamped to it: free's cost tracks the words
                 // actually written, not the freed byte range.
-                let cs = s.max(page.lo as usize);
-                let ce = e.min(page.hi as usize);
-                if cs < ce {
-                    page.cells[cs..ce].fill(MemCell::ZERO);
-                }
+                page.dirty_mut(s, e).for_each(|w| *w = Word::ZERO);
                 // A clear covering the whole dirty range leaves the page
                 // clean; partial clears leave the watermark conservative.
                 if s <= page.lo as usize && page.hi as usize <= e {
@@ -325,6 +438,18 @@ impl Memory {
     /// Base address of the live allocation with id `id`, in O(1).
     pub fn base_of(&self, id: AllocId) -> Option<u64> {
         self.base_by_id.get(&id.0).copied()
+    }
+
+    /// Put `a` in the allocation cache: over the way already holding its
+    /// base, else over the round-robin victim.
+    fn prime(&self, a: Allocation) {
+        if let Some(way) = self.hits.iter().find(|h| h.get().base == a.base) {
+            way.set(a);
+            return;
+        }
+        let i = self.hit_next.get();
+        self.hits[i].set(a);
+        self.hit_next.set((i + 1) % HIT_WAYS);
     }
 
     /// Allocate `size` bytes (rounded up to 8); returns the allocation.
@@ -359,7 +484,7 @@ impl Memory {
         self.allocs.insert(base, a);
         self.base_by_id.insert(a.id.0, base);
         // The fresh allocation is the most likely next access target.
-        self.last_hit.set(Some(a));
+        self.prime(a);
         self.live_bytes += size;
         Ok(a)
     }
@@ -370,8 +495,10 @@ impl Memory {
         self.base_by_id.remove(&a.id.0);
         // A cached hit into the freed region must not survive (compare by
         // base: during a move the same id is briefly live at two bases).
-        if self.last_hit.get().is_some_and(|h| h.base == a.base) {
-            self.last_hit.set(None);
+        for way in &self.hits {
+            if way.get().base == a.base {
+                way.set(NO_HIT);
+            }
         }
         // Reset its words and return the range to the free list.
         self.zero_range(a.base, a.base + a.size);
@@ -400,10 +527,12 @@ impl Memory {
         }
     }
 
-    /// The allocation containing `addr`, if any. The last hit is cached, so
-    /// clustered accesses cost one range compare.
+    /// The allocation containing `addr`, if any. Recent hits are cached, so
+    /// clustered accesses cost a few range compares.
+    #[inline]
     pub fn containing(&self, addr: u64) -> Option<Allocation> {
-        if let Some(a) = self.last_hit.get() {
+        for way in &self.hits {
+            let a = way.get();
             if addr.wrapping_sub(a.base) < a.size {
                 return Some(a);
             }
@@ -414,30 +543,62 @@ impl Memory {
             .next_back()
             .map(|(_, &a)| a)
             .filter(|a| addr < a.base + a.size)?;
-        self.last_hit.set(Some(a));
+        self.prime(a);
         Some(a)
+    }
+
+    #[inline]
+    fn load_word(&self, addr: u64) -> Result<Word, Trap> {
+        if self.containing(addr).is_none() {
+            return Err(Trap::BadAccess { addr, write: false });
+        }
+        Ok(self.cell(addr))
+    }
+
+    #[inline]
+    fn store_word(&mut self, addr: u64, w: Word) -> Result<(), Trap> {
+        if self.containing(addr).is_none() {
+            return Err(Trap::BadAccess { addr, write: true });
+        }
+        *self.cell_mut(addr) = w;
+        Ok(())
     }
 
     /// Load the word at `addr` (must lie in a live allocation; reads of
     /// never-written words are zero, like fresh pages).
     pub fn load(&self, addr: u64) -> Result<(Val, Option<AllocId>), Trap> {
-        if self.containing(addr).is_none() {
-            return Err(Trap::BadAccess { addr, write: false });
-        }
-        let c = self.cell(addr);
-        Ok((c.val, c.prov()))
+        self.load_word(addr).map(|w| (w.val(), w.prov()))
     }
 
     /// Store a word (with provenance) at `addr`.
     pub fn store(&mut self, addr: u64, val: Val, prov: Option<AllocId>) -> Result<(), Trap> {
-        if self.containing(addr).is_none() {
-            return Err(Trap::BadAccess { addr, write: true });
+        self.store_word(addr, Word::new(val, prov))
+    }
+
+    /// The first of the addresses `start, start + 8, ...` below `end` whose
+    /// word is the integer `value` (whatever its provenance), read as
+    /// [`Memory::load`] would: a never-written word is `I(0)`. Scans the
+    /// dense word cells of each page directly, one page lookup per page.
+    pub fn find_int_word(&self, start: u64, end: u64, value: u64) -> Option<u64> {
+        let hit = |w: Word| !w.is_float() && w.bits == value;
+        let mut addr = start;
+        while addr < end {
+            let off = (addr & PAGE_MASK) as usize;
+            // Addresses of the stride that fall in this page.
+            let n = (end - addr).min((PAGE_CELLS - off) as u64).div_ceil(8) as usize;
+            let found = match self.page(addr) {
+                None => (value == 0).then_some(0),
+                Some(p) if off.is_multiple_of(8) => {
+                    p.words[off / 8..off / 8 + n].iter().position(|&w| hit(w))
+                }
+                Some(p) => (0..n).position(|k| hit(p.get(off + 8 * k))),
+            };
+            if let Some(k) = found {
+                return Some(addr + 8 * k as u64);
+            }
+            addr += 8 * n as u64;
         }
-        *self.cell_mut(addr) = MemCell {
-            val,
-            prov_raw: MemCell::pack_prov(prov),
-        };
-        Ok(())
+        None
     }
 
     /// All live allocations in address order.
@@ -483,15 +644,22 @@ impl Memory {
         let new_base = new.base;
         self.allocs.get_mut(&new_base).expect("just inserted").id = id;
         self.base_by_id.remove(&new.id.0);
-        // Copy words (the new home is all-zero: it came from freed or
-        // never-touched space, so copying the full range is exact).
+        // Copy the non-zero cells (the new home is all-zero: it came from
+        // freed or never-touched space, so this is exact). Absent pages are
+        // skipped whole, and pages without a spill word by word.
         let mut addr = old.base;
         while addr < old.base + size {
-            let c = self.cell(addr);
-            if c != MemCell::ZERO {
-                *self.cell_mut(new_base + (addr - old.base)) = c;
+            let (cell, step) = match self.page(addr) {
+                None => (Word::ZERO, PAGE_CELLS as u64 - (addr & PAGE_MASK)),
+                Some(p) => (
+                    p.get((addr & PAGE_MASK) as usize),
+                    if p.spill.is_some() { 1 } else { 8 - (addr & 7) },
+                ),
+            };
+            if cell != Word::ZERO {
+                *self.cell_mut(new_base + (addr - old.base)) = cell;
             }
-            addr += 1;
+            addr += step;
         }
         // Release the old region (also resets the old words). `free` drops
         // the id → base entry and any cached hit for the *old* base; the
@@ -503,20 +671,15 @@ impl Memory {
             size,
         };
         self.base_by_id.insert(id.0, new_base);
-        self.last_hit.set(Some(moved));
+        self.prime(moved);
         // Patch every stored pointer into the moved allocation: scan the
-        // resident pages for cells carrying its provenance (the same full
-        // sweep the word-map layout performed, now a linear pass).
+        // dirty span of every resident page for cells carrying its
+        // provenance. Patching rewrites cells that are already non-zero, so
+        // the watermark needs no widening here.
         for page in self.pages.iter_mut().flatten() {
-            if page.lo >= page.hi {
-                continue;
-            }
-            // Patching rewrites cells that are already non-zero, so the
-            // watermark needs no widening here.
-            for c in page.cells[page.lo as usize..page.hi as usize].iter_mut() {
-                if c.prov_raw == id.0 {
-                    let off = (c.val.as_i() as u64).wrapping_sub(old.base);
-                    c.val = Val::I((new_base + off) as i64);
+            for w in page.dirty_mut(0, PAGE_CELLS) {
+                if w.prov_raw() == id.0 {
+                    w.bits = w.bits.wrapping_sub(old.base).wrapping_add(new_base);
                 }
             }
         }
@@ -530,15 +693,10 @@ impl Memory {
     /// detects. Returns `None` for float cells (no meaningful bit index in
     /// the modeled word) — callers pick another site.
     pub fn flip_bit(&mut self, addr: u64, bit: u32) -> Option<(i64, i64)> {
-        let c = self.cell_mut(addr);
-        match c.val {
-            Val::I(v) => {
-                let new = v ^ (1i64 << (bit % 64));
-                c.val = Val::I(new);
-                Some((v, new))
-            }
-            Val::F(_) => None,
-        }
+        let w = self.cell_mut(addr);
+        let old = w.as_int()?;
+        w.bits ^= 1u64 << (bit % 64);
+        Some((old, w.bits as i64))
     }
 
     /// Withdraw `[base, base + size)` from the free list so it is never
@@ -564,36 +722,16 @@ impl Memory {
     }
 }
 
-/// One call frame.
+/// One call frame: where it executes and where its registers start.
 #[derive(Debug, Clone)]
-pub struct Frame {
+struct Frame {
     func: FuncId,
     block: BlockId,
     ip: usize,
-    /// Register file.
-    pub regs: Vec<Val>,
-    /// Pointer provenance of each register.
-    pub prov: Vec<Option<AllocId>>,
+    /// Index of the frame's register 0 in the interpreter's register stack.
+    base: usize,
     /// Register to receive the callee's return value.
     ret_to: Option<Reg>,
-}
-
-impl Frame {
-    #[inline]
-    fn val(&self, r: Reg) -> Val {
-        self.regs[r.0 as usize]
-    }
-
-    #[inline]
-    fn get(&self, r: Reg) -> (Val, Option<AllocId>) {
-        (self.regs[r.0 as usize], self.prov[r.0 as usize])
-    }
-
-    #[inline]
-    fn set(&mut self, d: Reg, v: Val, p: Option<AllocId>) {
-        self.regs[d.0 as usize] = v;
-        self.prov[d.0 as usize] = p;
-    }
 }
 
 /// Result of an intrinsic hook.
@@ -701,12 +839,43 @@ pub struct ExecStats {
     pub trace: Vec<i64>,
 }
 
-/// The interpreter: a module, a memory, a frame stack, and statistics.
+/// How the block loop left the top frame.
+enum Exit<'m> {
+    /// Push a frame: `(ret_to, callee, arguments)`.
+    Call(Option<Reg>, FuncId, &'m [Reg]),
+    /// Pop the frame, returning this word.
+    Ret(Option<Word>),
+    /// Stop with a trap.
+    Trap(Trap),
+    /// Stop: out of fuel or yielded.
+    Stop(ExecStatus),
+}
+
+/// `x op y` for either operand type, with the same semantics as the
+/// comparison operators (so NaN compares unequal and unordered).
+#[inline]
+fn compare<T: PartialOrd>(op: CmpOp, x: T, y: T) -> bool {
+    match op {
+        CmpOp::Eq => x == y,
+        CmpOp::Ne => x != y,
+        CmpOp::Lt => x < y,
+        CmpOp::Le => x <= y,
+        CmpOp::Gt => x > y,
+        CmpOp::Ge => x >= y,
+    }
+}
+
+/// The interpreter: a module, a memory, a frame stack over one register
+/// stack, and statistics.
 pub struct Interp {
     cfg: InterpConfig,
     /// Program memory (public so runtimes can inspect/move allocations).
     pub mem: Memory,
     frames: Vec<Frame>,
+    /// The register stack: each frame's registers are
+    /// `regs[base..base + n_regs]`, and the top frame's window ends the
+    /// stack, so calls and returns only grow and truncate it.
+    regs: Vec<Word>,
     /// Execution statistics.
     pub stats: ExecStats,
     done_value: Option<Val>,
@@ -725,6 +894,7 @@ impl Interp {
             cfg,
             mem,
             frames: Vec::new(),
+            regs: Vec::new(),
             stats: ExecStats::default(),
             done_value: None,
         }
@@ -741,17 +911,19 @@ impl Interp {
             func.name,
             func.n_params
         );
-        let mut regs = vec![Val::I(0); func.n_regs];
-        let prov = vec![None; func.n_regs];
-        regs[..args.len()].copy_from_slice(args);
-        self.frames = vec![Frame {
+        self.regs.clear();
+        self.regs.resize(func.n_regs, Word::ZERO);
+        for (r, &v) in self.regs.iter_mut().zip(args) {
+            *r = Word::new(v, None);
+        }
+        self.frames.clear();
+        self.frames.push(Frame {
             func: f,
             block: BlockId(0),
             ip: 0,
-            regs,
-            prov,
+            base: 0,
             ret_to: None,
-        }];
+        });
         self.done_value = None;
     }
 
@@ -780,13 +952,10 @@ impl Interp {
     /// [`Memory::move_allocation`] to complete a defragmentation step.
     pub fn patch_provenance(&mut self, id: AllocId, old_base: u64, new_base: u64) -> usize {
         let mut patched = 0;
-        for fr in &mut self.frames {
-            for (r, p) in fr.regs.iter_mut().zip(fr.prov.iter()) {
-                if *p == Some(id) {
-                    let off = (r.as_i() as u64).wrapping_sub(old_base);
-                    *r = Val::I((new_base + off) as i64);
-                    patched += 1;
-                }
+        for r in &mut self.regs {
+            if r.prov_raw() == id.0 {
+                r.bits = r.bits.wrapping_sub(old_base).wrapping_add(new_base);
+                patched += 1;
             }
         }
         patched
@@ -795,19 +964,289 @@ impl Interp {
     /// Run until completion, yield, trap, or `fuel` cycles are consumed.
     /// Resumable: calling `run` again continues where the last call left
     /// off (after a yield or out-of-fuel return).
+    ///
+    /// The outer loop handles the frame stack; the inner loop runs the top
+    /// frame's code with its block, `ip` and register window held locally,
+    /// following branches within the function, and writes `block`/`ip`
+    /// back when it leaves. The fuel check runs before every instruction
+    /// and terminator, so every exit leaves the same `ip`, instruction count
+    /// and cycle count as stepping one instruction at a time.
     pub fn run(&mut self, module: &Module, hooks: &mut dyn RuntimeHooks, fuel: u64) -> ExecStatus {
         let start_cycles = self.stats.cycles;
+        let Interp {
+            cfg,
+            mem,
+            frames,
+            regs,
+            stats,
+            done_value,
+        } = self;
         loop {
-            if self.frames.is_empty() {
-                return ExecStatus::Done(self.done_value);
-            }
-            if self.stats.cycles - start_cycles >= fuel {
-                return ExecStatus::OutOfFuel;
-            }
-            match self.step(module, hooks) {
-                StepOut::Continue => {}
-                StepOut::Yield => return ExecStatus::Yielded,
-                StepOut::Trap(t) => return ExecStatus::Trapped(t),
+            let depth = frames.len();
+            let Some(fr) = frames.last_mut() else {
+                return ExecStatus::Done(*done_value);
+            };
+            let func = module.func(fr.func);
+            let base = fr.base;
+            let r = &mut regs[base..];
+            let (mut block, mut ip) = (fr.block, fr.ip);
+            let mut blk = &func.blocks[block.index()];
+            let exit = loop {
+                if stats.cycles - start_cycles >= fuel {
+                    break Exit::Stop(ExecStatus::OutOfFuel);
+                }
+                let Some(inst) = blk.insts.get(ip) else {
+                    stats.insts += 1;
+                    match blk.term.as_ref().expect("verified IR") {
+                        Term::Br(t) => {
+                            stats.cycles += cfg.cost_branch;
+                            block = *t;
+                        }
+                        Term::CondBr(c, t, e) => {
+                            stats.cycles += cfg.cost_branch;
+                            block = if r[c.index()].val().is_true() { *t } else { *e };
+                        }
+                        Term::Ret(v) => {
+                            stats.cycles += cfg.cost_ret;
+                            break Exit::Ret(v.map(|v| r[v.index()]));
+                        }
+                    }
+                    blk = &func.blocks[block.index()];
+                    ip = 0;
+                    continue;
+                };
+                ip += 1;
+                stats.insts += 1;
+                match inst {
+                    Inst::ConstI(d, v) => {
+                        stats.cycles += cfg.cost_arith;
+                        r[d.index()] = Word::int(*v, 0);
+                    }
+                    Inst::ConstF(d, v) => {
+                        stats.cycles += cfg.cost_arith;
+                        r[d.index()] = Word::float(*v);
+                    }
+                    Inst::Mov(d, s) => {
+                        stats.cycles += cfg.cost_arith;
+                        r[d.index()] = r[s.index()];
+                    }
+                    Inst::Bin(d, op, a, b) => {
+                        stats.cycles += cfg.cost_arith;
+                        let (wa, wb) = (r[a.index()], r[b.index()]);
+                        r[d.index()] = match op {
+                            BinOp::FAdd => Word::float(wa.as_f() + wb.as_f()),
+                            BinOp::FSub => Word::float(wa.as_f() - wb.as_f()),
+                            BinOp::FMul => Word::float(wa.as_f() * wb.as_f()),
+                            BinOp::FDiv => Word::float(wa.as_f() / wb.as_f()),
+                            _ => {
+                                // The divisor alone decides a division by
+                                // zero, so it is checked before the types.
+                                if matches!(op, BinOp::Div | BinOp::Rem) && wb.as_int() == Some(0) {
+                                    break Exit::Trap(Trap::DivByZero);
+                                }
+                                let (Some(x), Some(y)) = (wa.as_int(), wb.as_int()) else {
+                                    break Exit::Trap(Trap::TypeError);
+                                };
+                                let v = match op {
+                                    BinOp::Add => x.wrapping_add(y),
+                                    BinOp::Sub => x.wrapping_sub(y),
+                                    BinOp::Mul => x.wrapping_mul(y),
+                                    BinOp::Div => x.wrapping_div(y),
+                                    BinOp::Rem => x.wrapping_rem(y),
+                                    BinOp::And => x & y,
+                                    BinOp::Or => x | y,
+                                    BinOp::Xor => x ^ y,
+                                    BinOp::Shl => x.wrapping_shl(y as u32),
+                                    BinOp::Shr => x.wrapping_shr(y as u32),
+                                    BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => {
+                                        unreachable!("float ops are matched above")
+                                    }
+                                };
+                                // Pointer arithmetic through Add/Sub keeps
+                                // provenance when exactly one operand is a
+                                // pointer.
+                                let p = match op {
+                                    BinOp::Add | BinOp::Sub => match (wa.prov_raw(), wb.prov_raw())
+                                    {
+                                        (p, 0) | (0, p) => p,
+                                        _ => 0,
+                                    },
+                                    _ => 0,
+                                };
+                                Word::int(v, p)
+                            }
+                        };
+                    }
+                    Inst::Cmp(d, op, a, b) => {
+                        stats.cycles += cfg.cost_arith;
+                        let (wa, wb) = (r[a.index()], r[b.index()]);
+                        let t = match (wa.as_int(), wb.as_int()) {
+                            (Some(x), Some(y)) => compare(*op, x, y),
+                            _ => compare(*op, wa.as_f(), wb.as_f()),
+                        };
+                        r[d.index()] = Word::int(t as i64, 0);
+                    }
+                    Inst::Select(d, c, a, b) => {
+                        stats.cycles += cfg.cost_arith;
+                        let pick = if r[c.index()].val().is_true() { a } else { b };
+                        r[d.index()] = r[pick.index()];
+                    }
+                    Inst::Alloc(d, s) => {
+                        stats.cycles += cfg.cost_alloc;
+                        let Some(size) = r[s.index()].as_int() else {
+                            break Exit::Trap(Trap::TypeError);
+                        };
+                        match mem.alloc(size.max(0) as u64) {
+                            Ok(a) => {
+                                hooks.on_alloc(a);
+                                r[d.index()] = Word::int(a.base as i64, a.id.0);
+                            }
+                            Err(t) => break Exit::Trap(t),
+                        }
+                    }
+                    Inst::Free(p) => {
+                        stats.cycles += cfg.cost_free;
+                        let Some(addr) = r[p.index()].as_int() else {
+                            break Exit::Trap(Trap::TypeError);
+                        };
+                        match mem.free(addr as u64) {
+                            Ok(a) => hooks.on_free(a),
+                            Err(t) => break Exit::Trap(t),
+                        }
+                    }
+                    Inst::Load(d, a, off) => {
+                        stats.cycles += cfg.cost_load;
+                        stats.loads += 1;
+                        let Some(ptr) = r[a.index()].as_int() else {
+                            break Exit::Trap(Trap::TypeError);
+                        };
+                        let addr = ptr.wrapping_add(*off) as u64;
+                        match hooks.check_access(addr, false, stats.cycles) {
+                            Ok(extra) => stats.cycles += extra,
+                            Err(t) => break Exit::Trap(t),
+                        }
+                        match mem.load_word(addr) {
+                            Ok(w) => r[d.index()] = w,
+                            Err(t) => break Exit::Trap(t),
+                        }
+                    }
+                    Inst::Store(a, off, v) => {
+                        stats.cycles += cfg.cost_store;
+                        stats.stores += 1;
+                        let Some(ptr) = r[a.index()].as_int() else {
+                            break Exit::Trap(Trap::TypeError);
+                        };
+                        let addr = ptr.wrapping_add(*off) as u64;
+                        match hooks.check_access(addr, true, stats.cycles) {
+                            Ok(extra) => stats.cycles += extra,
+                            Err(t) => break Exit::Trap(t),
+                        }
+                        if let Err(t) = mem.store_word(addr, r[v.index()]) {
+                            break Exit::Trap(t);
+                        }
+                    }
+                    Inst::Gep(d, b, i, scale, off) => {
+                        stats.cycles += cfg.cost_gep;
+                        let wb = r[b.index()];
+                        let (Some(ptr), Some(idx)) = (wb.as_int(), r[i.index()].as_int()) else {
+                            break Exit::Trap(Trap::TypeError);
+                        };
+                        let addr = ptr
+                            .wrapping_add(idx.wrapping_mul(*scale))
+                            .wrapping_add(*off);
+                        r[d.index()] = Word::int(addr, wb.prov_raw());
+                    }
+                    Inst::Call(dst, g, args) => {
+                        stats.cycles += cfg.cost_call;
+                        if depth >= cfg.max_depth {
+                            break Exit::Trap(Trap::StackOverflow);
+                        }
+                        break Exit::Call(*dst, *g, args);
+                    }
+                    Inst::Intr(dst, which, args) => {
+                        let which = *which;
+                        if which == Intrinsic::Trace {
+                            if let Some(a) = args.first() {
+                                let Some(v) = r[a.index()].as_int() else {
+                                    break Exit::Trap(Trap::TypeError);
+                                };
+                                stats.trace.push(v);
+                            }
+                        }
+                        // Intrinsics take at most a handful of arguments;
+                        // marshal them through a stack buffer so the hot
+                        // path stays allocation-free.
+                        let mut buf = [Val::I(0); 4];
+                        let heap: Vec<Val>;
+                        let argv: &[Val] = if args.len() <= buf.len() {
+                            for (slot, a) in buf.iter_mut().zip(args) {
+                                *slot = r[a.index()].val();
+                            }
+                            &buf[..args.len()]
+                        } else {
+                            heap = args.iter().map(|a| r[a.index()].val()).collect();
+                            &heap
+                        };
+                        if which.is_injected() {
+                            stats.injected_intrinsics += 1;
+                        }
+                        let (cycles, value, yielded) =
+                            match hooks.intrinsic(which, argv, mem, stats.cycles) {
+                                HookAction::Continue { value, cycles } => (cycles, value, false),
+                                HookAction::Yield { cycles } => (cycles, None, true),
+                                HookAction::Trap(t) => break Exit::Trap(t),
+                            };
+                        stats.cycles += cycles;
+                        if which.is_injected() {
+                            stats.injected_cycles += cycles;
+                        }
+                        if let Some(d) = dst {
+                            r[d.index()] = Word::new(value.unwrap_or(Val::I(0)), None);
+                        }
+                        if yielded {
+                            break Exit::Stop(ExecStatus::Yielded);
+                        }
+                    }
+                }
+            };
+            fr.block = block;
+            fr.ip = ip;
+            match exit {
+                Exit::Call(ret_to, g, args) => {
+                    let callee = module.func(g);
+                    debug_assert_eq!(
+                        args.len(),
+                        callee.n_params,
+                        "arity mismatch calling {}",
+                        callee.name
+                    );
+                    let callee_base = regs.len();
+                    regs.resize(callee_base + callee.n_regs, Word::ZERO);
+                    for (i, a) in args.iter().enumerate() {
+                        regs[callee_base + i] = regs[base + a.index()];
+                    }
+                    frames.push(Frame {
+                        func: g,
+                        block: BlockId(0),
+                        ip: 0,
+                        base: callee_base,
+                        ret_to,
+                    });
+                }
+                Exit::Ret(w) => {
+                    let done = frames.pop().expect("a frame returned");
+                    regs.truncate(done.base);
+                    match frames.last() {
+                        Some(caller) => {
+                            if let Some(d) = done.ret_to {
+                                regs[caller.base + d.index()] = w.unwrap_or(Word::ZERO);
+                            }
+                        }
+                        None => *done_value = w.map(Word::val),
+                    }
+                }
+                Exit::Trap(t) => return ExecStatus::Trapped(t),
+                Exit::Stop(status) => return status,
             }
         }
     }
@@ -828,313 +1267,6 @@ impl Interp {
             }
         }
     }
-
-    /// One instruction (or terminator). Decodes by reference straight out of
-    /// the module — no per-instruction clone — with `self` split into
-    /// disjoint field borrows so frame mutation, memory traffic, and cycle
-    /// accounting coexist with the borrowed instruction.
-    fn step(&mut self, module: &Module, hooks: &mut dyn RuntimeHooks) -> StepOut {
-        let Interp {
-            cfg,
-            mem,
-            frames,
-            stats,
-            done_value,
-        } = self;
-        let fi = frames.len() - 1;
-        let (func_id, block, ip) = {
-            let fr = &frames[fi];
-            (fr.func, fr.block, fr.ip)
-        };
-        let func = module.func(func_id);
-        let blk = &func.blocks[block.index()];
-
-        if ip >= blk.insts.len() {
-            // Execute the terminator.
-            stats.insts += 1;
-            match blk.term.as_ref().expect("verified IR") {
-                Term::Br(t) => {
-                    stats.cycles += cfg.cost_branch;
-                    let fr = &mut frames[fi];
-                    fr.block = *t;
-                    fr.ip = 0;
-                }
-                Term::CondBr(c, t, e) => {
-                    stats.cycles += cfg.cost_branch;
-                    let fr = &mut frames[fi];
-                    fr.block = if fr.val(*c).is_true() { *t } else { *e };
-                    fr.ip = 0;
-                }
-                Term::Ret(v) => {
-                    stats.cycles += cfg.cost_ret;
-                    let fr = &frames[fi];
-                    let (val, prov) = match v {
-                        Some(r) => {
-                            let (v, p) = fr.get(*r);
-                            (Some(v), p)
-                        }
-                        None => (None, None),
-                    };
-                    let ret_to = fr.ret_to;
-                    frames.pop();
-                    match frames.last_mut() {
-                        Some(caller) => {
-                            if let Some(dst) = ret_to {
-                                caller.set(dst, val.unwrap_or(Val::I(0)), prov);
-                            }
-                        }
-                        None => *done_value = val,
-                    }
-                }
-            }
-            return StepOut::Continue;
-        }
-
-        let inst = &blk.insts[ip];
-        frames[fi].ip += 1;
-        stats.insts += 1;
-
-        match inst {
-            Inst::ConstI(d, v) => {
-                stats.cycles += cfg.cost_arith;
-                frames[fi].set(*d, Val::I(*v), None);
-            }
-            Inst::ConstF(d, v) => {
-                stats.cycles += cfg.cost_arith;
-                frames[fi].set(*d, Val::F(*v), None);
-            }
-            Inst::Mov(d, s) => {
-                stats.cycles += cfg.cost_arith;
-                let fr = &mut frames[fi];
-                let (v, p) = fr.get(*s);
-                fr.set(*d, v, p);
-            }
-            Inst::Bin(d, op, a, b) => {
-                stats.cycles += cfg.cost_arith;
-                let fr = &mut frames[fi];
-                let (va, vb) = (fr.val(*a), fr.val(*b));
-                let val = match op {
-                    BinOp::Add => Val::I(va.as_i().wrapping_add(vb.as_i())),
-                    BinOp::Sub => Val::I(va.as_i().wrapping_sub(vb.as_i())),
-                    BinOp::Mul => Val::I(va.as_i().wrapping_mul(vb.as_i())),
-                    BinOp::Div => {
-                        if vb.as_i() == 0 {
-                            return StepOut::Trap(Trap::DivByZero);
-                        }
-                        Val::I(va.as_i().wrapping_div(vb.as_i()))
-                    }
-                    BinOp::Rem => {
-                        if vb.as_i() == 0 {
-                            return StepOut::Trap(Trap::DivByZero);
-                        }
-                        Val::I(va.as_i().wrapping_rem(vb.as_i()))
-                    }
-                    BinOp::And => Val::I(va.as_i() & vb.as_i()),
-                    BinOp::Or => Val::I(va.as_i() | vb.as_i()),
-                    BinOp::Xor => Val::I(va.as_i() ^ vb.as_i()),
-                    BinOp::Shl => Val::I(va.as_i().wrapping_shl(vb.as_i() as u32)),
-                    BinOp::Shr => Val::I(va.as_i().wrapping_shr(vb.as_i() as u32)),
-                    BinOp::FAdd => Val::F(va.as_f() + vb.as_f()),
-                    BinOp::FSub => Val::F(va.as_f() - vb.as_f()),
-                    BinOp::FMul => Val::F(va.as_f() * vb.as_f()),
-                    BinOp::FDiv => Val::F(va.as_f() / vb.as_f()),
-                };
-                // Pointer arithmetic through Add/Sub keeps provenance when
-                // exactly one operand is a pointer.
-                let p = match op {
-                    BinOp::Add | BinOp::Sub => {
-                        match (fr.prov[a.0 as usize], fr.prov[b.0 as usize]) {
-                            (Some(p), None) => Some(p),
-                            (None, Some(p)) => Some(p),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                };
-                fr.set(*d, val, p);
-            }
-            Inst::Cmp(d, op, a, b) => {
-                stats.cycles += cfg.cost_arith;
-                let fr = &mut frames[fi];
-                let (va, vb) = (fr.val(*a), fr.val(*b));
-                let r = match (va, vb) {
-                    (Val::F(_), _) | (_, Val::F(_)) => {
-                        let (x, y) = (va.as_f(), vb.as_f());
-                        match op {
-                            CmpOp::Eq => x == y,
-                            CmpOp::Ne => x != y,
-                            CmpOp::Lt => x < y,
-                            CmpOp::Le => x <= y,
-                            CmpOp::Gt => x > y,
-                            CmpOp::Ge => x >= y,
-                        }
-                    }
-                    (Val::I(x), Val::I(y)) => match op {
-                        CmpOp::Eq => x == y,
-                        CmpOp::Ne => x != y,
-                        CmpOp::Lt => x < y,
-                        CmpOp::Le => x <= y,
-                        CmpOp::Gt => x > y,
-                        CmpOp::Ge => x >= y,
-                    },
-                };
-                fr.set(*d, Val::I(r as i64), None);
-            }
-            Inst::Select(d, c, a, b) => {
-                stats.cycles += cfg.cost_arith;
-                let fr = &mut frames[fi];
-                let (v, p) = if fr.val(*c).is_true() {
-                    fr.get(*a)
-                } else {
-                    fr.get(*b)
-                };
-                fr.set(*d, v, p);
-            }
-            Inst::Alloc(d, s) => {
-                stats.cycles += cfg.cost_alloc;
-                let size = frames[fi].val(*s).as_i().max(0) as u64;
-                match mem.alloc(size) {
-                    Ok(a) => {
-                        hooks.on_alloc(a);
-                        frames[fi].set(*d, Val::I(a.base as i64), Some(a.id));
-                    }
-                    Err(t) => return StepOut::Trap(t),
-                }
-            }
-            Inst::Free(p) => {
-                stats.cycles += cfg.cost_free;
-                let addr = frames[fi].val(*p).as_ptr();
-                match mem.free(addr) {
-                    Ok(a) => hooks.on_free(a),
-                    Err(t) => return StepOut::Trap(t),
-                }
-            }
-            Inst::Load(d, a, off) => {
-                stats.cycles += cfg.cost_load;
-                stats.loads += 1;
-                let addr = (frames[fi].val(*a).as_i() + off) as u64;
-                match hooks.check_access(addr, false, stats.cycles) {
-                    Ok(extra) => stats.cycles += extra,
-                    Err(t) => return StepOut::Trap(t),
-                }
-                match mem.load(addr) {
-                    Ok((v, p)) => frames[fi].set(*d, v, p),
-                    Err(t) => return StepOut::Trap(t),
-                }
-            }
-            Inst::Store(a, off, v) => {
-                stats.cycles += cfg.cost_store;
-                stats.stores += 1;
-                let addr = (frames[fi].val(*a).as_i() + off) as u64;
-                match hooks.check_access(addr, true, stats.cycles) {
-                    Ok(extra) => stats.cycles += extra,
-                    Err(t) => return StepOut::Trap(t),
-                }
-                let (val, p) = frames[fi].get(*v);
-                if let Err(t) = mem.store(addr, val, p) {
-                    return StepOut::Trap(t);
-                }
-            }
-            Inst::Gep(d, b, i, scale, off) => {
-                stats.cycles += cfg.cost_gep;
-                let fr = &mut frames[fi];
-                let base = fr.val(*b).as_i();
-                let idx = fr.val(*i).as_i();
-                let addr = base
-                    .wrapping_add(idx.wrapping_mul(*scale))
-                    .wrapping_add(*off);
-                let p = fr.prov[b.0 as usize];
-                fr.set(*d, Val::I(addr), p);
-            }
-            Inst::Call(dst, g, args) => {
-                stats.cycles += cfg.cost_call;
-                if frames.len() >= cfg.max_depth {
-                    return StepOut::Trap(Trap::StackOverflow);
-                }
-                let callee = module.func(*g);
-                debug_assert_eq!(
-                    args.len(),
-                    callee.n_params,
-                    "arity mismatch calling {}",
-                    callee.name
-                );
-                let mut regs = vec![Val::I(0); callee.n_regs];
-                let mut prov = vec![None; callee.n_regs];
-                let caller = &frames[fi];
-                for (i, &r) in args.iter().enumerate() {
-                    let (v, p) = caller.get(r);
-                    regs[i] = v;
-                    prov[i] = p;
-                }
-                frames.push(Frame {
-                    func: *g,
-                    block: BlockId(0),
-                    ip: 0,
-                    regs,
-                    prov,
-                    ret_to: *dst,
-                });
-            }
-            Inst::Intr(dst, which, args) => {
-                let which = *which;
-                // Intrinsics take at most a handful of arguments; marshal
-                // them through a stack buffer so the hot path stays
-                // allocation-free.
-                let mut buf = [Val::I(0); 4];
-                let mut heap: Vec<Val> = Vec::new();
-                let argv: &[Val] = {
-                    let fr = &frames[fi];
-                    if args.len() <= buf.len() {
-                        for (i, &r) in args.iter().enumerate() {
-                            buf[i] = fr.val(r);
-                        }
-                        &buf[..args.len()]
-                    } else {
-                        heap.extend(args.iter().map(|&r| fr.val(r)));
-                        &heap
-                    }
-                };
-                if which.is_injected() {
-                    stats.injected_intrinsics += 1;
-                }
-                let action = hooks.intrinsic(which, argv, mem, stats.cycles);
-                if which == Intrinsic::Trace {
-                    if let Some(v) = argv.first() {
-                        stats.trace.push(v.as_i());
-                    }
-                }
-                match action {
-                    HookAction::Continue { value, cycles } => {
-                        stats.cycles += cycles;
-                        if which.is_injected() {
-                            stats.injected_cycles += cycles;
-                        }
-                        if let Some(d) = dst {
-                            frames[fi].set(*d, value.unwrap_or(Val::I(0)), None);
-                        }
-                    }
-                    HookAction::Yield { cycles } => {
-                        stats.cycles += cycles;
-                        if which.is_injected() {
-                            stats.injected_cycles += cycles;
-                        }
-                        if let Some(d) = dst {
-                            frames[fi].set(*d, Val::I(0), None);
-                        }
-                        return StepOut::Yield;
-                    }
-                    HookAction::Trap(t) => return StepOut::Trap(t),
-                }
-            }
-        }
-        StepOut::Continue
-    }
-}
-
-enum StepOut {
-    Continue,
-    Yield,
-    Trap(Trap),
 }
 
 #[cfg(test)]
@@ -1473,6 +1605,153 @@ mod tests {
         assert_eq!(mem.load(new + 8).unwrap(), (Val::I(2), None));
         assert_eq!(mem.base_of(b.id), Some(new));
         assert_eq!(mem.base_of(a.id), None);
+    }
+
+    /// The escape scan CARAT used before `find_int_word`: a `load` of
+    /// every aligned word of the holder.
+    fn scan_by_load(mem: &Memory, a: Allocation, value: u64) -> Option<u64> {
+        (a.base..a.base + a.size)
+            .step_by(8)
+            .find(|&addr| matches!(mem.load(addr), Ok((Val::I(v), _)) if v as u64 == value))
+    }
+
+    #[test]
+    fn find_int_word_matches_the_load_scan() {
+        let mut mem = Memory::new(&InterpConfig::default());
+        // Spans three pages, the last one never touched.
+        let a = mem.alloc(1200).unwrap();
+        let target = 0x4000_0000_u64;
+        // A float word with the same bits comes first and must not match;
+        // an earlier integer word equal to the value must win over a later
+        // one, and an unaligned cell never counts.
+        mem.store(a.base + 8, Val::F(f64::from_bits(target)), None)
+            .unwrap();
+        mem.store(a.base + 17, Val::I(target as i64), None).unwrap();
+        mem.store(a.base + 600, Val::I(target as i64), Some(a.id))
+            .unwrap();
+        mem.store(a.base + 640, Val::I(target as i64), None)
+            .unwrap();
+        mem.store(a.base + 16, Val::I(7), None).unwrap();
+        let values = [target, 7, 0, 1, f64::from_bits(target).to_bits() ^ 1];
+        for value in values {
+            let want = scan_by_load(&mem, a, value);
+            assert_eq!(mem.find_int_word(a.base, a.base + a.size, value), want);
+        }
+        assert_eq!(
+            mem.find_int_word(a.base, a.base + a.size, target),
+            Some(a.base + 600)
+        );
+        // Zero matches the first never-written word, here the holder's
+        // first word; and a holder on an untouched page.
+        assert_eq!(mem.find_int_word(a.base, a.base + a.size, 0), Some(a.base));
+        let b = mem.alloc(64).unwrap();
+        assert_eq!(mem.find_int_word(b.base, b.base + b.size, 0), Some(b.base));
+        assert_eq!(scan_by_load(&mem, b, 0), Some(b.base));
+        assert_eq!(mem.find_int_word(b.base, b.base + b.size, 5), None);
+        // Every word written: zero is found only where it was stored.
+        for i in 0..8 {
+            mem.store(b.base + 8 * i, Val::I(i as i64 + 1), None)
+                .unwrap();
+        }
+        mem.store(b.base + 40, Val::I(0), None).unwrap();
+        for value in 0..10 {
+            assert_eq!(
+                mem.find_int_word(b.base, b.base + b.size, value),
+                scan_by_load(&mem, b, value)
+            );
+        }
+    }
+
+    /// Run `main` and return how it stopped.
+    fn run_status(m: &Module) -> ExecStatus {
+        let mut it = Interp::new(InterpConfig::default());
+        it.start(m, FuncId(0), &[]);
+        it.run(m, &mut NullHooks, u64::MAX / 4)
+    }
+
+    /// A `main` that builds a float, hands it to `site`, and returns.
+    fn float_into(site: impl FnOnce(&mut FunctionBuilder, Reg)) -> Module {
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("main", 0);
+        let f = fb.const_f(2.5);
+        site(&mut fb, f);
+        fb.ret(None);
+        m.add(fb.finish());
+        m
+    }
+
+    #[test]
+    fn float_operand_of_integer_bin_op_traps() {
+        for op in [BinOp::Add, BinOp::Mul, BinOp::Div, BinOp::Shl, BinOp::Xor] {
+            let m = float_into(|fb, f| {
+                let one = fb.const_i(1);
+                let _ = fb.bin(op, one, f);
+            });
+            assert_eq!(run_status(&m), ExecStatus::Trapped(Trap::TypeError));
+        }
+        // The divisor alone decides a division by zero.
+        let m = float_into(|fb, f| {
+            let zero = fb.const_i(0);
+            let _ = fb.bin(BinOp::Rem, f, zero);
+        });
+        assert_eq!(run_status(&m), ExecStatus::Trapped(Trap::DivByZero));
+    }
+
+    #[test]
+    fn float_gep_operand_traps() {
+        let m = float_into(|fb, f| {
+            let one = fb.const_i(1);
+            let _ = fb.gep(one, f, 8, 0);
+        });
+        assert_eq!(run_status(&m), ExecStatus::Trapped(Trap::TypeError));
+        let m = float_into(|fb, f| {
+            let one = fb.const_i(1);
+            let _ = fb.gep(f, one, 8, 0);
+        });
+        assert_eq!(run_status(&m), ExecStatus::Trapped(Trap::TypeError));
+    }
+
+    #[test]
+    fn float_load_address_traps() {
+        let m = float_into(|fb, f| {
+            let _ = fb.load(f, 0);
+        });
+        assert_eq!(run_status(&m), ExecStatus::Trapped(Trap::TypeError));
+    }
+
+    #[test]
+    fn float_store_address_traps() {
+        let m = float_into(|fb, f| {
+            let one = fb.const_i(1);
+            fb.store(f, 0, one);
+        });
+        assert_eq!(run_status(&m), ExecStatus::Trapped(Trap::TypeError));
+    }
+
+    #[test]
+    fn float_alloc_size_traps() {
+        let m = float_into(|fb, f| {
+            let _ = fb.alloc(f);
+        });
+        assert_eq!(run_status(&m), ExecStatus::Trapped(Trap::TypeError));
+    }
+
+    #[test]
+    fn float_free_traps() {
+        let m = float_into(|fb, f| fb.free(f));
+        assert_eq!(run_status(&m), ExecStatus::Trapped(Trap::TypeError));
+    }
+
+    #[test]
+    fn float_trace_value_traps() {
+        let m = float_into(|fb, f| fb.intr_void(Intrinsic::Trace, &[f]));
+        let mut it = Interp::new(InterpConfig::default());
+        it.start(&m, FuncId(0), &[]);
+        assert_eq!(
+            it.run(&m, &mut NullHooks, u64::MAX / 4),
+            ExecStatus::Trapped(Trap::TypeError)
+        );
+        assert!(it.stats.trace.is_empty());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Model-based equivalence: the page-backed [`Memory`] against a naive
-//! reimplementation of the original seed layout — a per-word
-//! `BTreeMap<u64, (i64, Option<u64>)>` plus a *linear* allocation list —
+//! reimplementation of the original seed layout — a per-byte-address
+//! `BTreeMap<u64, (Val, Option<u64>)>` plus a *linear* allocation list —
 //! under arbitrary interleaved alloc/free/load/store/move sequences,
-//! including provenance patching.
+//! including provenance patching. Words land at aligned and unaligned byte
+//! addresses (so they overlap) and hold integers, pointers, and floats with
+//! the bit patterns a value-typed layout could lose (`-0.0`, NaNs with
+//! payloads); every load compares the exact bits and type.
 //!
 //! The model deliberately reproduces the seed's allocator policy bit for
 //! bit (first-fit over a coalescing free list, bump fallback, ids consumed
@@ -20,7 +23,7 @@ const HEAP_SIZE: u64 = 1 << 30;
 
 /// The seed-layout reference: word map + linear allocation list.
 struct ModelMemory {
-    words: BTreeMap<u64, (i64, Option<u64>)>,
+    words: BTreeMap<u64, (Val, Option<u64>)>,
     /// Live allocations as `(id, base, size)` in creation order — lookups
     /// are linear scans, as in the pre-page implementation's
     /// `move_allocation`.
@@ -110,12 +113,20 @@ impl ModelMemory {
             .find(|&(_, b, s)| addr >= b && addr < b + s)
     }
 
-    fn load(&self, addr: u64) -> Option<(i64, Option<u64>)> {
+    fn load(&self, addr: u64) -> Option<(Val, Option<u64>)> {
         self.containing(addr)?;
-        Some(self.words.get(&addr).copied().unwrap_or((0, None)))
+        Some(self.words.get(&addr).copied().unwrap_or((Val::I(0), None)))
     }
 
-    fn store(&mut self, addr: u64, val: i64, prov: Option<u64>) -> bool {
+    /// The escape scan's answer: the first of `base, base + 8, ...` in the
+    /// allocation whose word is the integer `value`.
+    fn find_int_word(&self, base: u64, size: u64, value: u64) -> Option<u64> {
+        (base..base + size)
+            .step_by(8)
+            .find(|&a| matches!(self.load(a), Some((Val::I(v), _)) if v as u64 == value))
+    }
+
+    fn store(&mut self, addr: u64, val: Val, prov: Option<u64>) -> bool {
         if self.containing(addr).is_none() {
             return false;
         }
@@ -132,7 +143,7 @@ impl ModelMemory {
                 a.0 = id;
             }
         }
-        let old_words: Vec<(u64, (i64, Option<u64>))> = self
+        let old_words: Vec<(u64, (Val, Option<u64>))> = self
             .words
             .range(old_base..old_base + old_size)
             .map(|(&k, &c)| (k, c))
@@ -145,18 +156,21 @@ impl ModelMemory {
             .words
             .iter()
             .filter(|(_, c)| c.1 == Some(id))
-            .map(|(&k, c)| (k, c.0, c.1))
+            .map(|(&k, c)| (k, c.0.as_i(), c.1))
             .collect();
         for (k, v, prov) in patches {
             let off = (v as u64).wrapping_sub(old_base);
-            self.words.insert(k, ((new_base + off) as i64, prov));
+            self.words
+                .insert(k, (Val::I((new_base + off) as i64), prov));
         }
         Some((old_base, new_base))
     }
 }
 
 /// One step of the interleaved workload. Indices select among live
-/// allocations modulo the live count at execution time.
+/// allocations modulo the live count at execution time. A word's address is
+/// `base + (slot * 8 + skew) % size`: a zero skew is an aligned word, a
+/// non-zero one an unaligned word overlapping its neighbours.
 #[derive(Debug, Clone)]
 enum Op {
     Alloc {
@@ -168,48 +182,106 @@ enum Op {
     Load {
         idx: usize,
         slot: u64,
+        skew: u64,
     },
-    /// Store a plain value, or (when `ptr_idx` is set) a pointer into
-    /// another live allocation, carrying provenance.
     Store {
         idx: usize,
         slot: u64,
-        val: i64,
-        ptr_idx: Option<usize>,
+        skew: u64,
+        val: Stored,
     },
     Move {
         idx: usize,
     },
+    /// CARAT's escape scan for the integer now at an aligned slot (or an
+    /// arbitrary value).
+    Find {
+        idx: usize,
+        slot: u64,
+        value: Option<u64>,
+    },
+}
+
+/// What a store writes.
+#[derive(Debug, Clone)]
+enum Stored {
+    Int(i64),
+    /// A float, by its bit pattern.
+    Float(u64),
+    /// A pointer into another live allocation, carrying provenance.
+    Ptr(usize),
+}
+
+/// `-0.0`, quiet and signalling NaNs with payloads, infinities, and
+/// arbitrary bit patterns.
+fn float_bits() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just((-0.0f64).to_bits()),
+        Just(0.0f64.to_bits()),
+        Just(f64::NAN.to_bits()),
+        Just(0x7ff0_0000_0000_0001),
+        Just(0xfff8_0000_dead_beef),
+        Just(f64::NEG_INFINITY.to_bits()),
+        any::<u64>(),
+    ]
+}
+
+/// About half the words aligned, the rest at a byte skew of 1 to 7.
+fn skew() -> impl Strategy<Value = u64> {
+    (0u64..16).prop_map(|k| k.saturating_sub(8))
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let stored = || {
+        prop_oneof![
+            any::<i64>().prop_map(Stored::Int),
+            float_bits().prop_map(Stored::Float),
+            any::<usize>().prop_map(Stored::Ptr),
+        ]
+    };
+    let store = move || {
+        (any::<usize>(), 0u64..64, skew(), stored()).prop_map(|(idx, slot, skew, val)| Op::Store {
+            idx,
+            slot,
+            skew,
+            val,
+        })
+    };
+    // Stores appear twice: the union has no weights.
     prop_oneof![
+        store(),
+        store(),
         (8u64..400).prop_map(|size| Op::Alloc { size }),
         any::<usize>().prop_map(|idx| Op::Free { idx }),
-        (any::<usize>(), 0u64..64).prop_map(|(idx, slot)| Op::Load { idx, slot }),
-        (any::<usize>(), 0u64..64, any::<i64>(), any::<usize>()).prop_map(
-            |(idx, slot, val, ptr_sel)| Op::Store {
-                idx,
-                slot,
-                val,
-                // Half the stores carry provenance (a pointer into another
-                // live allocation), half are plain values.
-                ptr_idx: if ptr_sel % 2 == 0 {
-                    None
-                } else {
-                    Some(ptr_sel >> 1)
-                },
-            }
-        ),
+        (any::<usize>(), 0u64..64, skew()).prop_map(|(idx, slot, skew)| Op::Load {
+            idx,
+            slot,
+            skew
+        }),
         any::<usize>().prop_map(|idx| Op::Move { idx }),
+        (any::<usize>(), 0u64..64, 0u64..8).prop_map(|(idx, slot, v)| Op::Find {
+            idx,
+            slot,
+            value: (v < 4).then_some(v),
+        }),
     ]
+}
+
+/// A load result with the value as exact `(is_float, bits)`, so `-0.0`
+/// and NaN payloads compare by representation.
+fn exact(r: Option<(Val, Option<u64>)>) -> Option<(bool, u64, Option<u64>)> {
+    r.map(|(v, p)| match v {
+        Val::I(i) => (false, i as u64, p),
+        Val::F(f) => (true, f.to_bits(), p),
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Page-backed memory and the seed-layout model observe identical
-    /// results for every operation, and identical final state.
+    /// results for every operation, and identical final state at every
+    /// byte address of every live allocation.
     #[test]
     fn page_backed_memory_matches_seed_layout_model(
         ops in prop::collection::vec(op_strategy(), 1..80)
@@ -248,31 +320,44 @@ proptest! {
                     let want = model.free(base);
                     prop_assert_eq!(got.is_ok(), want.is_some(), "free diverged at {base:#x}");
                 }
-                Op::Load { idx, slot } => {
+                Op::Load { idx, slot, skew } => {
                     if live.is_empty() { continue; }
                     let (_, base, size) = live[idx % live.len()];
-                    let addr = base + (slot * 8) % size;
-                    let got = mem.load(addr).ok().map(|(v, p)| (v.as_i(), p.map(|i| i.0)));
-                    let want = model.load(addr);
+                    let addr = base + (slot * 8 + skew) % size;
+                    let got = exact(mem.load(addr).ok().map(|(v, p)| (v, p.map(|i| i.0))));
+                    let want = exact(model.load(addr));
                     prop_assert_eq!(got, want, "load diverged at {:#x}", addr);
                 }
-                Op::Store { idx, slot, val, ptr_idx } => {
+                Op::Store { idx, slot, skew, ref val } => {
                     if live.is_empty() { continue; }
                     let (_, base, size) = live[idx % live.len()];
-                    let addr = base + (slot * 8) % size;
-                    let (val, prov) = match ptr_idx {
-                        Some(pi) => {
+                    let addr = base + (slot * 8 + skew) % size;
+                    let (val, prov) = match *val {
+                        Stored::Int(v) => (Val::I(v), None),
+                        Stored::Float(bits) => (Val::F(f64::from_bits(bits)), None),
+                        Stored::Ptr(pi) => {
                             let (pid, pbase, psize) = live[pi % live.len()];
                             // A pointer into the target, at a stable offset.
-                            ((pbase + (slot * 8) % psize) as i64, Some(pid))
+                            (Val::I((pbase + (slot * 8) % psize) as i64), Some(pid))
                         }
-                        None => (val, None),
                     };
-                    let got = mem
-                        .store(addr, Val::I(val), prov.map(AllocId))
-                        .is_ok();
+                    let got = mem.store(addr, val, prov.map(AllocId)).is_ok();
                     let want = model.store(addr, val, prov);
                     prop_assert_eq!(got, want, "store diverged at {:#x}", addr);
+                }
+                Op::Find { idx, slot, value } => {
+                    if live.is_empty() { continue; }
+                    let (_, base, size) = live[idx % live.len()];
+                    let value = value.unwrap_or_else(|| {
+                        match model.load(base + (slot * 8) % size) {
+                            Some((Val::I(v), _)) => v as u64,
+                            Some((Val::F(f), _)) => f.to_bits(),
+                            None => 0,
+                        }
+                    });
+                    let got = mem.find_int_word(base, base + size, value);
+                    let want = model.find_int_word(base, size, value);
+                    prop_assert_eq!(got, want, "escape scan diverged in {:#x}", base);
                 }
                 Op::Move { idx } => {
                     if live.is_empty() { continue; }
@@ -297,12 +382,9 @@ proptest! {
         prop_assert_eq!(mem.free_blocks(), model_free);
         for &(id, base, size) in &live {
             prop_assert_eq!(mem.base_of(AllocId(id)), Some(base));
-            for off in (0..size).step_by(8) {
-                let got = mem
-                    .load(base + off)
-                    .ok()
-                    .map(|(v, p)| (v.as_i(), p.map(|i| i.0)));
-                let want = model.load(base + off);
+            for off in 0..size {
+                let got = exact(mem.load(base + off).ok().map(|(v, p)| (v, p.map(|i| i.0))));
+                let want = exact(model.load(base + off));
                 prop_assert_eq!(got, want, "final word diverged at {:#x}+{}", base, off);
             }
         }

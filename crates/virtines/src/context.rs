@@ -175,6 +175,24 @@ mod tests {
     }
 
     #[test]
+    fn guest_type_error_is_contained() {
+        // Integer arithmetic on a float is a guest fault, not a host panic.
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("mistyped", 0);
+        fb.virtine();
+        let f = fb.const_f(1.5);
+        let one = fb.const_i(1);
+        let r = fb.bin(BinOp::Add, f, one);
+        fb.ret(Some(r));
+        m.add(fb.finish());
+        let mut v = Virtine::new(extract_virtines(&m).remove(0));
+        assert_eq!(
+            v.invoke(&[], u64::MAX / 4),
+            VirtineOutcome::Faulted(Trap::TypeError)
+        );
+    }
+
+    #[test]
     fn runaway_guest_is_killed_by_budget() {
         let mut m = Module::new();
         let mut fb = FunctionBuilder::new("spin", 0);
