@@ -210,11 +210,13 @@ impl CaratRuntime {
         self.stats.audits += 1;
         let mut found = Vec::new();
         for (&holder, &expected) in self.escapes.iter() {
-            let actual = match mem.load(holder) {
-                Ok((v, _prov)) => v.as_ptr(),
+            // A float where the pointer was is corrupt whatever its bits.
+            let (actual, intact) = match mem.load(holder) {
+                Ok((Val::I(v), _prov)) => (v as u64, v as u64 == expected),
+                Ok((Val::F(f), _prov)) => (f.to_bits(), false),
                 Err(_) => continue, // holder itself unmapped; frees race audits
             };
-            if actual != expected {
+            if !intact {
                 found.push(EscapeCorruption {
                     holder,
                     expected,
@@ -293,6 +295,25 @@ impl CaratRuntime {
     }
 }
 
+/// Guest argument `i` as an address, or `None` when it is missing or a
+/// float: the hook then traps instead of trusting the guest's types.
+fn int_arg(args: &[Val], i: usize) -> Option<u64> {
+    match args.get(i) {
+        Some(&Val::I(v)) => Some(v as u64),
+        _ => None,
+    }
+}
+
+/// A guard's optional write flag (argument 1; absent means a read), or
+/// `None` when it is a float.
+fn write_flag(args: &[Val]) -> Option<bool> {
+    match args.get(1) {
+        None => Some(false),
+        Some(&Val::I(v)) => Some(v == 1),
+        Some(Val::F(_)) => None,
+    }
+}
+
 impl RuntimeHooks for CaratRuntime {
     fn intrinsic(
         &mut self,
@@ -302,26 +323,21 @@ impl RuntimeHooks for CaratRuntime {
         now: u64,
     ) -> HookAction {
         match which {
-            Intrinsic::CaratGuard => {
-                self.stats.guards += 1;
-                let addr = args[0].as_ptr();
-                let write = args.get(1).map(|v| v.as_i() == 1).unwrap_or(false);
+            Intrinsic::CaratGuard | Intrinsic::CaratGuardRange => {
+                let cycles = if which == Intrinsic::CaratGuard {
+                    self.stats.guards += 1;
+                    self.costs.guard
+                } else {
+                    self.stats.range_guards += 1;
+                    self.costs.guard_range
+                };
+                let (Some(addr), Some(write)) = (int_arg(args, 0), write_flag(args)) else {
+                    return HookAction::Trap(Trap::TypeError);
+                };
                 match self.check(addr, write) {
                     Ok(()) => HookAction::Continue {
                         value: None,
-                        cycles: self.costs.guard,
-                    },
-                    Err(t) => HookAction::Trap(t),
-                }
-            }
-            Intrinsic::CaratGuardRange => {
-                self.stats.range_guards += 1;
-                let base = args[0].as_ptr();
-                let write = args.get(1).map(|v| v.as_i() == 1).unwrap_or(false);
-                match self.check(base, write) {
-                    Ok(()) => HookAction::Continue {
-                        value: None,
-                        cycles: self.costs.guard_range,
+                        cycles,
                     },
                     Err(t) => HookAction::Trap(t),
                 }
@@ -344,14 +360,15 @@ impl RuntimeHooks for CaratRuntime {
             }
             Intrinsic::CaratTrackEscape => {
                 self.stats.escapes += 1;
-                let value = args[0].as_ptr();
+                let (Some(value), Some(base)) = (int_arg(args, 0), int_arg(args, 1)) else {
+                    return HookAction::Trap(Trap::TypeError);
+                };
                 // The instrumentation hands us the holder's *base* register;
                 // the store itself may have landed at base + offset. The
                 // store has already executed when this intrinsic runs, so
                 // locate the exact word now holding `value` within the
                 // holder allocation and key the ledger by that address
                 // (falling back to the base for out-of-map holders).
-                let base = args[1].as_ptr();
                 let holder = mem
                     .containing(base)
                     .and_then(|a| mem.find_int_word(a.base, a.base + a.size, value))
@@ -601,5 +618,112 @@ mod tests {
             it.run(&m, &mut rt, u64::MAX / 4),
             ExecStatus::Trapped(Trap::ProtectionFault { .. })
         ));
+    }
+
+    /// The base of the first allocation of a fresh interpreter, which
+    /// [`run_one_intrinsic`] tracks (the allocator is deterministic).
+    fn first_base() -> Val {
+        let mut it = Interp::new(InterpConfig::default());
+        Val::I(it.mem.alloc(64).unwrap().base as i64)
+    }
+
+    /// Run a module whose one instruction is `which` applied to the
+    /// function's parameters, bound to `args`, under a fresh runtime that
+    /// tracks one 64-byte allocation at [`first_base`].
+    fn run_one_intrinsic(which: Intrinsic, args: &[Val]) -> (ExecStatus, CaratRuntime) {
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("f", args.len());
+        let params: Vec<_> = (0..args.len()).map(|i| fb.param(i)).collect();
+        fb.intr_void(which, &params);
+        fb.ret(None);
+        m.add(fb.finish());
+        let mut rt = CaratRuntime::new();
+        let mut it = Interp::new(InterpConfig::default());
+        let a = it.mem.alloc(64).unwrap();
+        rt.on_alloc(a);
+        it.start(&m, interweave_ir::FuncId(0), args);
+        let status = it.run(&m, &mut rt, 1_000);
+        (status, rt)
+    }
+
+    #[test]
+    fn guard_arguments_of_the_wrong_type_or_missing_trap() {
+        let base = first_base();
+        for which in [Intrinsic::CaratGuard, Intrinsic::CaratGuardRange] {
+            // A well-typed guard on the tracked allocation passes.
+            let (status, _) = run_one_intrinsic(which, &[base, Val::I(1)]);
+            assert_eq!(status, ExecStatus::Done(None), "{which:?}");
+            for args in [
+                vec![],
+                vec![Val::F(1.5)],
+                vec![Val::F(1.5), Val::I(0)],
+                vec![base, Val::F(1.0)],
+            ] {
+                let (status, rt) = run_one_intrinsic(which, &args);
+                assert_eq!(
+                    status,
+                    ExecStatus::Trapped(Trap::TypeError),
+                    "{which:?} {args:?}"
+                );
+                assert_eq!(rt.stats.faults, 0, "a type error is not a protection fault");
+            }
+        }
+    }
+
+    #[test]
+    fn escape_arguments_of_the_wrong_type_or_missing_trap() {
+        let base = first_base();
+        let (status, rt) = run_one_intrinsic(Intrinsic::CaratTrackEscape, &[base, base]);
+        assert_eq!(status, ExecStatus::Done(None));
+        assert_eq!(rt.escape_count(), 1);
+        for args in [
+            vec![],
+            vec![base],
+            vec![Val::F(2.0), base],
+            vec![base, Val::F(2.0)],
+        ] {
+            let (status, rt) = run_one_intrinsic(Intrinsic::CaratTrackEscape, &args);
+            assert_eq!(status, ExecStatus::Trapped(Trap::TypeError), "{args:?}");
+            assert_eq!(rt.escape_count(), 0, "a trapped escape records nothing");
+        }
+    }
+
+    #[test]
+    fn audit_reports_a_float_in_a_holder_word_as_corruption() {
+        // The guest overwrites an escaped pointer with a float whose bits
+        // equal the pointer: the audit must still report the word.
+        let mut m = Module::new();
+        let mut fb = FunctionBuilder::new("f", 2);
+        let (holder, v) = (fb.param(0), fb.param(1));
+        fb.store(holder, 0, v);
+        fb.ret(None);
+        m.add(fb.finish());
+        let mut rt = CaratRuntime::new();
+        let mut it = Interp::new(InterpConfig::default());
+        let holder = it.mem.alloc(64).unwrap();
+        let target = it.mem.alloc(64).unwrap();
+        rt.on_alloc(holder);
+        rt.on_alloc(target);
+        it.mem
+            .store(holder.base, Val::I(target.base as i64), Some(target.id))
+            .unwrap();
+        rt.escapes.insert(holder.base, target.base);
+        assert!(rt.audit_escapes(&it.mem).is_empty());
+        let float = Val::F(f64::from_bits(target.base));
+        it.start(
+            &m,
+            interweave_ir::FuncId(0),
+            &[Val::I(holder.base as i64), float],
+        );
+        assert_eq!(it.run(&m, &mut rt, 1_000), ExecStatus::Done(None));
+        assert_eq!(
+            rt.audit_escapes(&it.mem),
+            vec![EscapeCorruption {
+                holder: holder.base,
+                expected: target.base,
+                found: target.base,
+            }]
+        );
+        assert_eq!(rt.stats.corruptions, 1);
     }
 }

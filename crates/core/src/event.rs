@@ -8,23 +8,24 @@
 //! configuration, so ties in event time are broken by insertion order
 //! (FIFO), never by heap internals.
 //!
-//! Cancellation is *lazy*: [`EventQueue::cancel`] tombstones the event's
-//! sequence number in O(1) instead of rebuilding the heap, and tombstoned
-//! entries are discarded when they surface at the top. When tombstones
-//! outnumber live events the heap is compacted in one pass, so memory stays
-//! bounded by the live event count. The heap top is never left tombstoned,
-//! which keeps [`EventQueue::peek_time`] an `&self` read.
+//! Cancellation is *lazy* and hash-free. A cancellable event owns a slot in
+//! a slab of `{gen, state}` records, recycled through a free list; its
+//! [`EventHandle`] names the slot and the slot's generation at the time.
+//! [`EventQueue::cancel`] is two array reads and a write: it tombstones the
+//! slot instead of rebuilding the heap, and a stale handle (its event fired,
+//! was already cancelled, or its slot has since been reused) finds a
+//! different generation or a non-pending state. Tombstoned entries are
+//! discarded when they surface at the top, and their slot returns to the
+//! free list with its generation bumped. When tombstones outnumber live
+//! events the heap is compacted in one pass, so memory stays bounded by the
+//! live event count. The heap top is never left tombstoned, which keeps
+//! [`EventQueue::peek_time`] an `&self` read. Plain events carry no slot
+//! and cost the slab nothing.
 
-use crate::hash::LineHash;
 use crate::telemetry::{Key, Layer, Sink, Unit};
 use crate::time::Cycles;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-
-/// A set of event sequence numbers under the fast deterministic hasher:
-/// the queue touches these sets on every cancellable schedule and on every
-/// pop, and the seqs are simulator-internal, so SipHash buys nothing.
-type SeqSet = HashSet<u64, LineHash>;
+use std::collections::BinaryHeap;
 
 /// Registry key: events scheduled since the queue was created.
 const KEY_SCHEDULED: Key = Key::new("core.evq.scheduled", Layer::Hardware, Unit::Count);
@@ -50,11 +51,16 @@ pub struct EvqStats {
     pub compactions: u64,
 }
 
+/// The slot a plain (non-cancellable) entry carries.
+const NO_SLOT: u32 = u32::MAX;
+
 /// An event scheduled at an absolute simulated time.
 #[derive(Debug, Clone)]
 struct Scheduled<E> {
     at: Cycles,
     seq: u64,
+    /// The entry's cancellation slot, or `NO_SLOT`.
+    slot: u32,
     payload: E,
 }
 
@@ -87,10 +93,33 @@ impl<E> PartialOrd for Scheduled<E> {
 ///
 /// Handles are cheap copyable tokens. A handle whose event has already
 /// fired (or already been cancelled) is simply stale: cancelling it returns
-/// `false` and does nothing.
+/// `false` and does nothing, even after its slot has been reused by a later
+/// event (the generation differs). Generations are `u32`, so a handle kept
+/// across 2^32 reuses of its slot could alias; the simulators drop a handle
+/// when its event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventHandle {
-    seq: u64,
+    slot: u32,
+    gen: u32,
+}
+
+/// Where a cancellation slot's event is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotState {
+    /// On the free list.
+    Free,
+    /// Its event is in the heap and live.
+    Pending,
+    /// Its event is in the heap as a tombstone.
+    Cancelled,
+}
+
+/// One cancellation slot: the generation its handles carry, bumped
+/// each time the slot is released, and the state of its current event.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    gen: u32,
+    state: SlotState,
 }
 
 /// A deterministic discrete-event queue generic over the event payload.
@@ -113,11 +142,12 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: Cycles,
-    /// Seqs of events scheduled via `schedule_cancellable` and still
-    /// pending; membership makes `cancel` accurate and idempotent.
-    cancellable: SeqSet,
-    /// Tombstones: seqs of cancelled events still physically in the heap.
-    cancelled: SeqSet,
+    /// Cancellation slots, indexed by a handle's `slot`.
+    slots: Vec<Slot>,
+    /// Released slots, reused last-in first-out.
+    free: Vec<u32>,
+    /// Cancelled entries still physically in the heap.
+    tombstones: usize,
     /// Lifetime telemetry counters.
     stats: EvqStats,
 }
@@ -135,8 +165,9 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: Cycles::ZERO,
-            cancellable: SeqSet::default(),
-            cancelled: SeqSet::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            tombstones: 0,
             stats: EvqStats::default(),
         }
     }
@@ -166,7 +197,7 @@ impl<E> EventQueue<E> {
     /// Number of pending (non-cancelled) events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() - self.tombstones
     }
 
     /// True when no live events are pending.
@@ -180,7 +211,7 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is a simulator bug; it panics in debug builds
     /// and is clamped to `now` in release builds so long sweeps fail soft.
     pub fn schedule(&mut self, at: Cycles, payload: E) {
-        self.push(at, payload);
+        self.push(at, NO_SLOT, payload);
     }
 
     /// Schedule `payload` at `at`, returning a handle that can later cancel
@@ -189,12 +220,26 @@ impl<E> EventQueue<E> {
     /// Same time semantics as [`EventQueue::schedule`], including FIFO
     /// tie-breaking against events scheduled either way.
     pub fn schedule_cancellable(&mut self, at: Cycles, payload: E) -> EventHandle {
-        let seq = self.push(at, payload);
-        self.cancellable.insert(seq);
-        EventHandle { seq }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = self.slots.len() as u32;
+                assert_ne!(slot, NO_SLOT, "2^32 - 1 cancellable events in the heap");
+                self.slots.push(Slot {
+                    gen: 0,
+                    state: SlotState::Free,
+                });
+                slot
+            }
+        };
+        let s = &mut self.slots[slot as usize];
+        s.state = SlotState::Pending;
+        let gen = s.gen;
+        self.push(at, slot, payload);
+        EventHandle { slot, gen }
     }
 
-    fn push(&mut self, at: Cycles, payload: E) -> u64 {
+    fn push(&mut self, at: Cycles, slot: u32, payload: E) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: at={at} now={}",
@@ -204,8 +249,12 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.scheduled += 1;
-        self.heap.push(Scheduled { at, seq, payload });
-        seq
+        self.heap.push(Scheduled {
+            at,
+            seq,
+            slot,
+            payload,
+        });
     }
 
     /// Schedule `payload` `delay` cycles after the current time.
@@ -220,10 +269,13 @@ impl<E> EventQueue<E> {
     /// The entry is tombstoned, not removed: it stays in the heap until it
     /// surfaces at the top or a compaction sweeps it out.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if !self.cancellable.remove(&handle.seq) {
-            return false;
+        match self.slots.get_mut(handle.slot as usize) {
+            Some(s) if s.gen == handle.gen && s.state == SlotState::Pending => {
+                s.state = SlotState::Cancelled;
+            }
+            _ => return false,
         }
-        self.cancelled.insert(handle.seq);
+        self.tombstones += 1;
         self.stats.cancelled += 1;
         self.after_cancel();
         true
@@ -239,8 +291,13 @@ impl<E> EventQueue<E> {
     /// Pop the earliest live event, advancing `now` to its time.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
         let s = self.heap.pop()?;
-        debug_assert!(!self.cancelled.contains(&s.seq), "tombstone at heap top");
-        self.cancellable.remove(&s.seq);
+        if s.slot != NO_SLOT {
+            debug_assert!(
+                self.slots[s.slot as usize].state == SlotState::Pending,
+                "tombstone at heap top"
+            );
+            self.release(s.slot);
+        }
         self.prune_top();
         self.now = s.at;
         self.stats.popped += 1;
@@ -274,34 +331,58 @@ impl<E> EventQueue<E> {
     fn after_cancel(&mut self) {
         // Compact when tombstones exceed half the heap; otherwise just make
         // sure the top entry is live.
-        if self.cancelled.len() * 2 > self.heap.len() {
+        if self.tombstones * 2 > self.heap.len() {
             self.compact();
         } else {
             self.prune_top();
         }
     }
 
+    /// Is this entry a tombstone?
+    #[inline]
+    fn is_tombstone(&self, s: &Scheduled<E>) -> bool {
+        s.slot != NO_SLOT && self.slots[s.slot as usize].state == SlotState::Cancelled
+    }
+
+    /// Return a slot whose entry left the heap to the free list. Bumping the
+    /// generation makes every handle that carries the old one stale.
+    #[inline]
+    fn release(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        s.state = SlotState::Free;
+        self.free.push(slot);
+    }
+
     /// Discard tombstoned entries sitting at the top of the heap.
+    #[inline]
     fn prune_top(&mut self) {
+        if self.tombstones == 0 {
+            return;
+        }
         while let Some(top) = self.heap.peek() {
-            let seq = top.seq;
-            if !self.cancelled.contains(&seq) {
+            if !self.is_tombstone(top) {
                 break;
             }
+            let slot = top.slot;
             self.heap.pop();
-            self.cancelled.remove(&seq);
+            self.release(slot);
+            self.tombstones -= 1;
         }
     }
 
     /// Rebuild the heap without its tombstoned entries (one O(n) pass).
     fn compact(&mut self) {
         self.stats.compactions += 1;
-        let cancelled = std::mem::take(&mut self.cancelled);
-        let kept: Vec<Scheduled<E>> = self
-            .heap
-            .drain()
-            .filter(|s| !cancelled.contains(&s.seq))
-            .collect();
+        let mut kept = std::mem::take(&mut self.heap).into_vec();
+        kept.retain(|s| !self.is_tombstone(s));
+        // Every cancelled slot's entry was a tombstone, now gone.
+        for slot in 0..self.slots.len() as u32 {
+            if self.slots[slot as usize].state == SlotState::Cancelled {
+                self.release(slot);
+            }
+        }
+        self.tombstones = 0;
         self.heap = kept.into();
     }
 
@@ -527,5 +608,44 @@ mod tests {
         q.cancel(h);
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn stale_handle_never_cancels_the_slots_next_event() {
+        let mut q = EventQueue::new();
+        let fired = q.schedule_cancellable(Cycles(1), "fired");
+        assert_eq!(q.pop(), Some((Cycles(1), "fired")));
+        let cancelled = q.schedule_cancellable(Cycles(2), "cancelled");
+        assert!(q.cancel(cancelled));
+        q.schedule(Cycles(3), "plain");
+        let live = q.schedule_cancellable(Cycles(4), "live");
+        // All three cancellable events shared one slot; only the newest
+        // handle's generation still matches it.
+        assert_eq!(q.slots.len(), 1);
+        assert!(!q.cancel(fired));
+        assert!(!q.cancel(cancelled));
+        assert_eq!(q.len(), 2);
+        assert!(q.cancel(live));
+        assert_eq!(q.pop(), Some((Cycles(3), "plain")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn slots_are_recycled_through_pops_and_compactions() {
+        let mut q = EventQueue::new();
+        for round in 0..100u64 {
+            let hs: Vec<EventHandle> = (0..8)
+                .map(|i| q.schedule_cancellable(Cycles(round * 10 + i), i))
+                .collect();
+            // Latest first, so the tombstones pile up below the top.
+            for h in hs[2..].iter().rev() {
+                assert!(q.cancel(*h));
+            }
+            while q.pop().is_some() {}
+        }
+        assert!(q.stats().compactions > 0);
+        assert_eq!(q.slots.len(), 8, "the slab holds the peak, not the total");
+        assert_eq!(q.free.len(), 8);
+        assert_eq!(q.tombstones, 0);
     }
 }

@@ -200,6 +200,7 @@ impl FaultPlan {
     }
 
     /// Decide one class: burn a draw, record an injection if it fired.
+    #[inline]
     fn decide(&mut self, class: FaultClass, p: f64) -> bool {
         if p <= 0.0 {
             return false;
@@ -217,11 +218,13 @@ impl FaultPlan {
     }
 
     /// Should this IPI/kick be dropped at the delivery fabric?
+    #[inline]
     pub fn drop_kick(&mut self) -> bool {
         self.decide(FaultClass::LostIpi, self.cfg.drop_ipi)
     }
 
     /// Extra delivery latency injected into this IPI/kick, if any.
+    #[inline]
     pub fn kick_delay(&mut self) -> Option<Cycles> {
         if !self.decide(FaultClass::DelayedIpi, self.cfg.delay_ipi) {
             return None;
@@ -233,6 +236,7 @@ impl FaultPlan {
     }
 
     /// Should this buddy allocation fail with `OutOfMemory`?
+    #[inline]
     pub fn fail_alloc(&mut self) -> bool {
         self.decide(FaultClass::AllocFail, self.cfg.alloc_fail)
     }

@@ -2,8 +2,8 @@
 //!
 //! The hot tables of several simulators hash one `u64` per operation: the
 //! coherence engine's line addresses (cache probes, line-table lookups),
-//! the interpreter's allocation ids, the event queue's sequence numbers
-//! and the executor's signal tags. The standard library's default SipHash
+//! the interpreter's allocation ids, the executor's signal tags and the
+//! paging model's page numbers. The standard library's default SipHash
 //! is DoS-resistant but can cost more than the rest of such a path
 //! combined; these keys are simulator-internal, so that resistance buys
 //! nothing here. This hasher finalizes a single `u64` with a
@@ -67,6 +67,9 @@ impl BuildHasher for LineHash {
 
 /// A `HashMap` keyed by line address with the fast hasher.
 pub type LineMap<V> = std::collections::HashMap<u64, V, LineHash>;
+
+/// A `HashSet` of `u64` keys with the fast hasher.
+pub type LineSet = std::collections::HashSet<u64, LineHash>;
 
 #[cfg(test)]
 mod tests {

@@ -99,6 +99,7 @@ pub enum DeliveryOutcome {
 /// Only fabric-crossing classes ([`IrqClass::Ipi`], [`IrqClass::Device`])
 /// can be lost or delayed — core-local traps (timer, math/protection
 /// faults) have no wire to drop them on, so they always deliver.
+#[inline]
 pub fn present(class: IrqClass, plan: &mut FaultPlan) -> DeliveryOutcome {
     match class {
         IrqClass::Ipi | IrqClass::Device => {
@@ -119,6 +120,7 @@ pub fn present(class: IrqClass, plan: &mut FaultPlan) -> DeliveryOutcome {
 /// [`present`], publishing the outcome into `sink`'s registry under the
 /// target CPU's shard, stamped at `now`. With the sink off this is exactly
 /// `present`.
+#[inline]
 pub fn present_on(
     class: IrqClass,
     plan: &mut FaultPlan,

@@ -16,8 +16,8 @@
 //! - [`event`]: a deterministic discrete-event queue, generic over the event
 //!   payload, used by every simulator in the workspace.
 //! - [`hash`]: the fast deterministic `u64` hasher every simulator-internal
-//!   table (line addresses, allocation ids, event sequence numbers, signal
-//!   tags) uses in place of SipHash.
+//!   table (line addresses, allocation ids, signal tags, page numbers) uses
+//!   in place of SipHash.
 //! - [`machine`]: machine topology ([`machine::MachineConfig`]) and the cost
 //!   model ([`machine::CostModel`]) with presets for the platforms the paper
 //!   evaluates on (Xeon Phi KNL, dual-socket x64 server, 8-socket 192-core).

@@ -625,7 +625,8 @@ pub struct Snapshot {
 
 /// The handle every publisher holds: either off (default; publishing is a
 /// single branch and records nothing) or a shared reference to one
-/// [`Telemetry`].
+/// [`Telemetry`]. The publish methods are `#[inline]`, so with the sink off
+/// that branch sits at the call site and no call is made.
 ///
 /// Clones share the same backing state, so one sink threaded through the
 /// executor, its allocator, its fault plan, a CARAT runtime, and a Wasp
@@ -649,6 +650,7 @@ impl Sink {
     }
 
     /// Is this sink recording at all?
+    #[inline]
     pub fn is_on(&self) -> bool {
         self.inner.is_some()
     }
@@ -661,11 +663,13 @@ impl Sink {
     }
 
     /// Add `n` to `key`'s shard for `cpu` (unstamped).
+    #[inline]
     pub fn count(&self, key: &Key, cpu: usize, n: u64) {
         self.count_at(key, cpu, n, Cycles::ZERO);
     }
 
     /// Add `n` to `key`'s shard for `cpu`, stamped with the cycle `now`.
+    #[inline]
     pub fn count_at(&self, key: &Key, cpu: usize, n: u64, now: Cycles) {
         if let Some(t) = &self.inner {
             t.borrow_mut().registry.add(key, cpu, n, now);
@@ -673,11 +677,13 @@ impl Sink {
     }
 
     /// Set `key`'s shard for `cpu` to `v` (gauge semantics, unstamped).
+    #[inline]
     pub fn gauge(&self, key: &Key, cpu: usize, v: u64) {
         self.gauge_at(key, cpu, v, Cycles::ZERO);
     }
 
     /// Set `key`'s shard for `cpu` to `v`, stamped with the cycle `now`.
+    #[inline]
     pub fn gauge_at(&self, key: &Key, cpu: usize, v: u64, now: Cycles) {
         if let Some(t) = &self.inner {
             t.borrow_mut().registry.set(key, cpu, v, now);
@@ -685,6 +691,7 @@ impl Sink {
     }
 
     /// Charge `cycles` to the `(layer, mechanism)` attribution category.
+    #[inline]
     pub fn charge(&self, layer: Layer, mechanism: &'static str, cycles: Cycles) {
         if let Some(t) = &self.inner {
             t.borrow_mut().attribution.charge(layer, mechanism, cycles);
@@ -693,6 +700,7 @@ impl Sink {
 
     /// Record a span (dropped below [`Level::Full`]). Zero-length spans
     /// are dropped too: an instant is a counter's job.
+    #[inline]
     pub fn span(&self, span: Span) {
         if let Some(t) = &self.inner {
             let mut t = t.borrow_mut();

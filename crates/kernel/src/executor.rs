@@ -87,7 +87,7 @@ struct Cpu {
 }
 
 /// Execution statistics for one run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Preemptions (quantum expiry).
     pub preemptions: u64,
@@ -395,25 +395,20 @@ impl Executor {
         match self.cpus[cpu].dispatch {
             // A delivery delay can push the kick past an already-pending
             // dispatch, in which case that event covers it.
-            Some((pending, _)) if pending <= t_eff => {}
+            Some((pending, _)) if pending <= t_eff => return,
             // A strictly earlier kick retracts the pending dispatch and
             // reschedules, so a CPU never idles past a wakeup. (Kicks
             // arrive in nondecreasing event-time order today, so this arm
             // is a safety net; it keeps the invariant local to `kick`.)
             Some((_, handle)) => {
                 self.events.cancel(handle);
-                let handle = self
-                    .events
-                    .schedule_cancellable(t_eff, ExecEvent::Dispatch(cpu));
-                self.cpus[cpu].dispatch = Some((t_eff, handle));
             }
-            None => {
-                let handle = self
-                    .events
-                    .schedule_cancellable(t_eff, ExecEvent::Dispatch(cpu));
-                self.cpus[cpu].dispatch = Some((t_eff, handle));
-            }
+            None => {}
         }
+        let handle = self
+            .events
+            .schedule_cancellable(t_eff, ExecEvent::Dispatch(cpu));
+        self.cpus[cpu].dispatch = Some((t_eff, handle));
     }
 
     /// Wake every task parked on `tag` at `at`.
@@ -474,7 +469,12 @@ impl Executor {
                     self.cpus[cpu].next_retry = Cycles::ZERO;
                     self.cpus[cpu].rekicks = 0;
                     self.cpus[cpu].abandon_logged = false;
+                    // One attribution charge per dispatch for all of its
+                    // compute slices: the ledger keeps only sums.
+                    let busy = self.cpus[cpu].busy;
                     self.dispatch(cpu, at);
+                    let computed = self.cpus[cpu].busy - busy;
+                    self.sink.charge(Layer::Application, "compute", computed);
                 }
                 ExecEvent::Watchdog => self.watchdog_tick(at),
             }
@@ -568,6 +568,9 @@ impl Executor {
         c.now = c.now.max(at);
         let Some(tid) = c.queue.pop() else { return };
         let mut quantum_left = self.quantum;
+        // Compute slices are the loop's common case: with no observer they
+        // build no span.
+        let observed = self.tracing || self.sink.is_on();
 
         loop {
             let task = &mut self.tasks[tid as usize];
@@ -654,9 +657,10 @@ impl Executor {
             c.now += slice;
             c.busy += slice;
             quantum_left -= slice;
-            let run_end = self.cpus[cpu].now;
-            self.sink.charge(Layer::Application, "compute", slice);
-            self.record(cpu, tid, run_start, run_end, SpanKind::Run);
+            if observed {
+                let run_end = self.cpus[cpu].now;
+                self.record(cpu, tid, run_start, run_end, SpanKind::Run);
+            }
 
             if quantum_left == Cycles::ZERO {
                 // Timer preemption.
@@ -909,30 +913,60 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_off_run_is_bit_identical() {
+    fn observers_never_perturb_a_faulted_run() {
         use interweave_core::telemetry::{Level, Sink};
-        let run = |sink: Option<Sink>| {
-            let mut cfg = interweave_core::FaultConfig::quiet(33);
-            cfg.drop_ipi = 0.4;
-            let mut e = exec(2, 1_500);
+        use interweave_core::{FaultConfig, FaultPlan};
+        let run = |tracing: bool, sink: Option<Sink>| {
+            let mut cfg = FaultConfig::quiet(57);
+            cfg.drop_ipi = 0.3;
+            cfg.delay_ipi = 0.3;
+            cfg.alloc_fail = 0.25;
+            let mut e = exec(4, 1_500);
+            if tracing {
+                e.enable_tracing();
+            }
             if let Some(s) = sink {
                 e.set_telemetry(s);
             }
-            e.set_fault_plan(interweave_core::FaultPlan::new(cfg));
+            e.set_stack_allocator(NumaAllocator::new(1, 6, 14));
+            e.set_fault_plan(FaultPlan::new(cfg));
             e.enable_watchdog(Cycles(4_000));
-            e.spawn(0, Box::new(LoopWork::new(3, Cycles(2_500))));
-            e.spawn(1, Box::new(LoopWork::new(3, Cycles(2_500))));
-            e.run();
-            (
-                e.stats.makespan,
-                e.stats.lost_kicks,
-                e.stats.watchdog_rekicks,
-                e.stats.stall_cycles,
-            )
+            let mut spawned = Vec::new();
+            for c in 0..8 {
+                let body = Box::new(LoopWork::new(6, Cycles(700)));
+                spawned.push(e.try_spawn(c % 4, body).ok());
+            }
+            if let Some(&child) = spawned.iter().flatten().next() {
+                let _ = e.try_spawn(
+                    1,
+                    Box::new(ScriptedWork::new(vec![
+                        WorkStep::Compute(Cycles(300)),
+                        WorkStep::Yield,
+                        WorkStep::Block(child),
+                        WorkStep::Compute(Cycles(300)),
+                        WorkStep::Done,
+                    ])),
+                );
+            }
+            let done = e.run();
+            assert_eq!(!e.trace.is_empty(), tracing);
+            (done, spawned, e.stats)
         };
-        let off = run(None);
-        let on = run(Some(Sink::on(Level::Full)));
-        assert_eq!(off, on, "telemetry must never perturb the simulation");
+        let plain = run(false, None);
+        assert!(plain.2.lost_kicks > 0, "the plan never dropped a kick");
+        assert!(plain.2.watchdog_rekicks > 0);
+        assert!(plain.2.shed_tasks > 0, "the plan never failed a stack");
+        assert_eq!(run(true, None), plain, "tracing perturbed the run");
+        assert_eq!(
+            run(false, Some(Sink::on(Level::Full))),
+            plain,
+            "the full sink perturbed the run"
+        );
+        assert_eq!(
+            run(true, Some(Sink::on(Level::Full))),
+            plain,
+            "tracing with the full sink perturbed the run"
+        );
     }
 
     #[test]

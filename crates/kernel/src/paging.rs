@@ -9,19 +9,27 @@
 //! translation regimes: paging (this model), raw identity mapping (zero
 //! cost), and CARAT guards (compiler-inserted checks).
 
+use interweave_core::hash::LineSet;
 use interweave_core::machine::CostModel;
 use interweave_core::time::Cycles;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A TLB with FIFO replacement (a deterministic stand-in for LRU) plus a
 /// demand-fault set: the first touch of each page takes a page fault.
+///
+/// The page sets use the fast deterministic hasher: they are probed on
+/// every guest access and never iterated.
 #[derive(Debug, Clone)]
 pub struct PagingModel {
     page_shift: u32,
     capacity: usize,
     fifo: VecDeque<u64>,
-    present: HashSet<u64>,
-    touched: HashSet<u64>,
+    present: LineSet,
+    touched: LineSet,
+    /// The page of the last miss. It is always resident, because only a
+    /// miss evicts and that miss makes its own page the last one, so a
+    /// repeat access to it is a hit without a lookup.
+    last_miss: Option<u64>,
     tlb_walk: Cycles,
     page_fault: Cycles,
     /// TLB miss count.
@@ -41,8 +49,9 @@ impl PagingModel {
             page_shift: cost.page_size.trailing_zeros(),
             capacity: cost.tlb_entries,
             fifo: VecDeque::new(),
-            present: HashSet::new(),
-            touched: HashSet::new(),
+            present: LineSet::default(),
+            touched: LineSet::default(),
+            last_miss: None,
             tlb_walk: cost.tlb_walk,
             page_fault: cost.page_fault,
             misses: 0,
@@ -55,26 +64,25 @@ impl PagingModel {
     /// Translate one access; returns the cycles the translation costs.
     pub fn access(&mut self, addr: u64) -> Cycles {
         let page = addr >> self.page_shift;
-        let mut cost = Cycles::ZERO;
-        if self.present.contains(&page) {
+        if self.last_miss == Some(page) || self.present.contains(&page) {
             self.hits += 1;
-        } else {
-            self.misses += 1;
-            cost += self.tlb_walk;
-            if !self.touched.contains(&page) {
-                // First touch: demand fault (fill the page table).
-                self.faults += 1;
-                cost += self.page_fault;
-                self.touched.insert(page);
-            }
-            if self.fifo.len() == self.capacity {
-                if let Some(old) = self.fifo.pop_front() {
-                    self.present.remove(&old);
-                }
-            }
-            self.fifo.push_back(page);
-            self.present.insert(page);
+            return Cycles::ZERO;
         }
+        self.misses += 1;
+        let mut cost = self.tlb_walk;
+        if self.touched.insert(page) {
+            // First touch: demand fault (fill the page table).
+            self.faults += 1;
+            cost += self.page_fault;
+        }
+        if self.fifo.len() == self.capacity {
+            if let Some(old) = self.fifo.pop_front() {
+                self.present.remove(&old);
+            }
+        }
+        self.fifo.push_back(page);
+        self.present.insert(page);
+        self.last_miss = Some(page);
         self.charged += cost;
         cost
     }
